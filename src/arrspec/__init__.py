@@ -44,6 +44,7 @@ from .ring import (
     ideal_generators,
     ideal_membership,
     monomials_of_degree,
+    pair_top,
     reduce_top,
 )
 from .spectrum import (
@@ -99,6 +100,7 @@ __all__ = [
     "maximal_building",
     "monomials_of_degree",
     "multiplicity",
+    "pair_top",
     "plane_curve_oracle",
     "prepare",
     "q_series",

@@ -174,7 +174,12 @@ def _parser() -> argparse.ArgumentParser:
             default=json_default,
             help="structured JSON output",
         )
-        p.add_argument("--jobs", type=int, default=1, help="worker threads for multiplicities")
+        p.add_argument(
+            "--jobs",
+            type=int,
+            default=1,
+            help="worker threads for multiplicities (they share the GIL, so no speed-up)",
+        )
         p.add_argument(
             "--building-set",
             default="maximal",

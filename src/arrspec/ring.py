@@ -17,17 +17,20 @@ generators:
   the product of the H variables times the (dimension-drop)-th power of
   the sum of the variables at or below W.
 
-Reduction against the top-degree slice turns any polynomial of top degree
-into a rational multiple of the class of a point; that multiple is what
-`reduce_top` returns.
+The top-degree quotient has rank one, so reduction against the top slice
+is a linear functional: each top monomial is a rational multiple of the
+class of a point.  `point_functional` tabulates those multiples once;
+`reduce_top` is a dot product with the table, and `pair_top` evaluates a
+product the same way while forming only its top-degree terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import factorial
+from operator import add
 
 from .arrangement import StructureError
 from .linalg import EchelonBasis, SparseVec
@@ -78,6 +81,13 @@ class GradedPoly:
         if self.nvars != other.nvars or self.trunc != other.trunc:
             raise ValueError("polynomials live in different rings")
 
+    def _by_degree(self) -> list[list[tuple[Monomial, Fraction]]]:
+        """Terms grouped by total degree: entry j holds the degree-j terms."""
+        buckets: list[list[tuple[Monomial, Fraction]]] = [[] for _ in range(self.trunc + 1)]
+        for mono, c in self.terms.items():
+            buckets[sum(mono)].append((mono, c))
+        return buckets
+
     # ring operations
 
     def __add__(self, other):
@@ -111,19 +121,18 @@ class GradedPoly:
                 return GradedPoly.zero(self.nvars, self.trunc)
             return self._like({m: v * c for m, v in self.terms.items()})
         self._compat(other)
-        trunc = self.trunc
+        right = other._by_degree()
         out: dict[Monomial, Fraction] = {}
         for ma, ca in self.terms.items():
-            da = sum(ma)
-            for mb, cb in other.terms.items():
-                if da + sum(mb) > trunc:
-                    continue
-                mono = tuple(x + y for x, y in zip(ma, mb))
-                nv = out.get(mono, _ZERO) + ca * cb
-                if nv:
-                    out[mono] = nv
-                else:
-                    out.pop(mono, None)
+            # only right-hand degrees that keep the product within the bound
+            for bucket in right[: self.trunc + 1 - sum(ma)]:
+                for mb, cb in bucket:
+                    mono = tuple(map(add, ma, mb))
+                    nv = out.get(mono, _ZERO) + ca * cb
+                    if nv:
+                        out[mono] = nv
+                    else:
+                        out.pop(mono, None)
         return self._like(out)
 
     __rmul__ = __mul__
@@ -248,7 +257,13 @@ class IdealPresentation:
     generators: list[GradedPoly]
     spans: list[EchelonBasis]
     monomials: list[list[Monomial]]
-    _top_unit: SparseVec | None = None
+    index: list[dict[Monomial, int]] = field(init=False, repr=False)
+    _point: dict[Monomial, Fraction] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self.index = [{m: i for i, m in enumerate(ms)} for ms in self.monomials]
 
     @property
     def trunc(self) -> int:
@@ -258,26 +273,34 @@ class IdealPresentation:
     def quotient_ranks(self) -> list[int]:
         return [len(ms) - sp.rank for ms, sp in zip(self.monomials, self.spans)]
 
-    def _vector(self, poly: GradedPoly, degree: int) -> SparseVec:
-        index = {m: i for i, m in enumerate(self.monomials[degree])}
-        return {index[m]: c for m, c in poly.graded_part(degree).terms.items()}
-
     def reduce_degree(self, poly: GradedPoly, degree: int) -> SparseVec:
-        return self.spans[degree].reduce(self._vector(poly, degree))
+        index = self.index[degree]
+        vec = {index[m]: c for m, c in poly.graded_part(degree).terms.items()}
+        return self.spans[degree].reduce(vec)
 
-    def top_unit_residue(self) -> SparseVec:
-        """Residue of (-c_0)^(n-1), the class of a point."""
-        if self._top_unit is None:
+    def point_functional(self) -> dict[Monomial, Fraction]:
+        """Top monomial -> its multiple of the point class (-c_0)^(n-1).
+
+        Monomials that reduce to zero are left out.  With a rank-one top
+        quotient the reduced echelon rows leave one free monomial f, and
+        the row with pivot m reads m + r*f, so m reduces to -r times f.
+        """
+        if self._point is None:
             top = self.trunc
-            nv = self.building.size
-            point = GradedPoly(
-                nv, top, {(top,) + (0,) * (nv - 1): Fraction(-1) ** top}
-            )
-            res = self.reduce_degree(point, top)
-            if not res:
+            rows = self.spans[top].rows
+            monos = self.monomials[top]
+            free = [i for i in range(len(monos)) if i not in rows]
+            if len(free) != 1 or any(row.keys() - {p, free[0]} for p, row in rows.items()):
+                raise StructureError("top residue is not a multiple of the point class")
+            f = free[0]
+            residue = {p: -row.get(f, _ZERO) for p, row in rows.items()}
+            residue[f] = _ONE
+            point = self.index[top][(top,) + (0,) * (self.building.size - 1)]
+            unit = residue[point] * (-1) ** top
+            if not unit:
                 raise StructureError("the class of a point reduces to zero")
-            self._top_unit = res
-        return self._top_unit
+            self._point = {monos[i]: v / unit for i, v in residue.items() if v}
+        return self._point
 
 
 def _antichain(bs: BuildingSet, elems) -> bool:
@@ -325,21 +348,18 @@ def ideal_generators(bs: BuildingSet) -> IdealPresentation:
             gens.append(base * inner**drop)
 
     monomials = [monomials_of_degree(nv, j) for j in range(trunc + 1)]
-    spans = [EchelonBasis() for _ in range(trunc + 1)]
-    for j in range(trunc + 1):
-        index = {m: i for i, m in enumerate(monomials[j])}
+    ideal = IdealPresentation(bs, gens, [EchelonBasis() for _ in range(trunc + 1)], monomials)
+    for j, (span, index) in enumerate(zip(ideal.spans, ideal.index)):
         for g in gens:
             dg = g.degree()
             if dg > j or not g.terms:
                 continue
             for mono in monomials[j - dg]:
                 shifted = {
-                    index[tuple(a + b for a, b in zip(mono, m))]: c
-                    for m, c in g.terms.items()
+                    index[tuple(map(add, mono, m))]: c for m, c in g.terms.items()
                 }
-                spans[j].insert(shifted)
+                span.insert(shifted)
 
-    ideal = IdealPresentation(bs, gens, spans, monomials)
     if ideal.quotient_ranks[trunc] != 1:
         raise StructureError(
             f"top cohomology not rank 1 (got {ideal.quotient_ranks[trunc]})"
@@ -347,29 +367,41 @@ def ideal_generators(bs: BuildingSet) -> IdealPresentation:
     return ideal
 
 
+def _check_ring(poly: GradedPoly, ideal: IdealPresentation) -> None:
+    if poly.nvars != ideal.building.size or poly.trunc != ideal.trunc:
+        raise ValueError("polynomial does not match the ideal's ring")
+
+
 def reduce_top(poly: GradedPoly, ideal: IdealPresentation) -> Fraction:
     """Coefficient of the point class in the top-degree part of `poly`."""
-    bs = ideal.building
-    if poly.nvars != bs.size or poly.trunc != ideal.trunc:
-        raise ValueError("polynomial does not match the ideal's ring")
-    unit = ideal.top_unit_residue()
-    res = ideal.reduce_degree(poly, ideal.trunc)
-    if not res:
-        return _ZERO
-    key = next(iter(unit))
-    lam = res.get(key, _ZERO) / unit[key]
-    # rank one in the top degree forces proportionality; verify anyway
-    if any(res.get(c, _ZERO) != lam * v for c, v in unit.items()) or any(
-        c not in unit for c in res
-    ):
-        raise StructureError("top residue is not a multiple of the point class")
-    return lam
+    _check_ring(poly, ideal)
+    point = ideal.point_functional()
+    # the functional's keys are top-degree monomials only
+    return sum((c * point[m] for m, c in poly.terms.items() if m in point), _ZERO)
+
+
+def pair_top(a: GradedPoly, b: GradedPoly, ideal: IdealPresentation) -> Fraction:
+    """`reduce_top(a * b, ideal)`, forming only the top-degree terms of the product."""
+    _check_ring(a, ideal)
+    _check_ring(b, ideal)
+    point = ideal.point_functional()
+    top = ideal.trunc
+    right = b._by_degree()
+    total = _ZERO
+    for ma, ca in a.terms.items():
+        acc = _ZERO
+        for mb, cb in right[top - sum(ma)]:
+            w = point.get(tuple(map(add, ma, mb)))
+            if w:
+                acc += cb * w
+        if acc:
+            total += ca * acc
+    return total
 
 
 def ideal_membership(poly: GradedPoly, ideal: IdealPresentation) -> bool:
     """Whether every graded part of `poly` reduces to zero."""
-    if poly.nvars != ideal.building.size or poly.trunc != ideal.trunc:
-        raise ValueError("polynomial does not match the ideal's ring")
+    _check_ring(poly, ideal)
     return all(
         not ideal.reduce_degree(poly, j) for j in range(ideal.trunc + 1)
     )

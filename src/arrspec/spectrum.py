@@ -9,12 +9,17 @@ per building-set element.  Each candidate exponent alpha = k/d + p with
 
 evaluated against the class of a point.  Nonzero multiplicities form the
 spectrum; every candidate is an exact integer, which is asserted.
+
+Only the top-degree part of the integrand is ever formed: the product
+ch * Todd is computed once per p and the exponential once per distinct
+vector of shifts, both cached on the `SpectrumSetup`, and each cell pairs
+the two with `pair_top`.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor
 
@@ -26,7 +31,7 @@ from .arrangement import (
 )
 from .chern import CharClasses, char_classes
 from .nested import BuildingSet, building_from_closures, maximal_building
-from .ring import GradedPoly, IdealPresentation, ideal_generators, reduce_top
+from .ring import GradedPoly, IdealPresentation, ideal_generators, pair_top
 
 
 @dataclass(frozen=True)
@@ -72,11 +77,15 @@ def twist_exp(bs: BuildingSet, eig: EigenData) -> GradedPoly:
     return lin.exp()
 
 
+def _check_p(p: int, n: int) -> None:
+    if not 0 <= p <= n - 1:
+        raise ValueError(f"integer part {p} out of range 0..{n - 1}")
+
+
 def r_alpha(classes: CharClasses, eig: EigenData, p: int) -> GradedPoly:
     """Integrand class for the exponent k/d + p, before the Todd factor."""
     n = classes.building.n
-    if not 0 <= p <= n - 1:
-        raise ValueError(f"integer part {p} out of range 0..{n - 1}")
+    _check_p(p, n)
     return classes.dual_ch[n - 1 - p] * twist_exp(classes.building, eig)
 
 
@@ -89,6 +98,14 @@ class SpectrumSetup:
     building: BuildingSet
     ideal: IdealPresentation
     classes: CharClasses
+    # per-cell factors, filled on first use; worker threads may race to fill
+    # an entry, and setdefault makes them all use the first value stored
+    _ch_todd: dict[int, GradedPoly] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _twists: dict[tuple[int, ...], GradedPoly] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def n(self) -> int:
@@ -97,6 +114,22 @@ class SpectrumSetup:
     @property
     def degree(self) -> int:
         return self.arrangement.degree
+
+    def ch_todd(self, q: int) -> GradedPoly:
+        """ch(dual q-th exterior power) * Todd."""
+        got = self._ch_todd.get(q)
+        if got is None:
+            got = self._ch_todd.setdefault(q, self.classes.dual_ch[q] * self.classes.todd)
+        return got
+
+    def twist(self, eig: EigenData) -> GradedPoly:
+        """`twist_exp` of the eigenvalue, computed once per vector of twist coefficients."""
+        bs = self.building
+        key = tuple(a_coeff(bs, v, eig) for v in range(bs.size))
+        got = self._twists.get(key)
+        if got is None:
+            got = self._twists.setdefault(key, twist_exp(bs, eig))
+        return got
 
 
 def prepare(arrangement: Arrangement, building_closures=None) -> SpectrumSetup:
@@ -116,8 +149,9 @@ def multiplicity(setup: SpectrumSetup, k: int, p: int) -> int:
     if k == d and p == n - 1:
         raise ValueError("the exponent n is excluded from the spectrum")
     eig = beta(setup.arrangement, k)
-    integrand = r_alpha(setup.classes, eig, p) * setup.classes.todd
-    value = reduce_top(integrand, setup.ideal) * (-1) ** (n - 1 - p)
+    _check_p(p, n)
+    q = n - 1 - p
+    value = pair_top(setup.ch_todd(q), setup.twist(eig), setup.ideal) * (-1) ** q
     if value.denominator != 1:
         raise StructureError(
             f"non-integral multiplicity {value} at k={k}, p={p}"

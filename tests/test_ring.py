@@ -13,6 +13,7 @@ from arrspec import (
     ideal_membership,
     maximal_building,
     monomials_of_degree,
+    pair_top,
     prepare,
     reduce_top,
 )
@@ -198,6 +199,8 @@ def test_reduce_top_well_defined_on_cosets():
         z = ideal_deg1[rng.randrange(len(ideal_deg1))] * rng.randint(-2, 2)
         assert reduce_top(p * q, ideal) == reduce_top((p + z) * q, ideal)
         assert reduce_top(p * q, ideal) == reduce_top(p * (q + z), ideal)
+        assert pair_top(p, q, ideal) == reduce_top(p * q, ideal)
+        assert pair_top(p + z, q, ideal) == reduce_top((p + z) * q, ideal)
 
 
 def test_membership_closed_under_multiplication():

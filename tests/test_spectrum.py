@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from arrspec import (
     multiplicity,
     prepare,
     r_alpha,
+    reduce_top,
     s_value,
     spectrum,
     spectrum_from_setup,
@@ -102,6 +104,39 @@ def test_multiplicity_rejects_excluded_corner(setups):
     setup = setups["example-a"]
     with pytest.raises(ValueError):
         multiplicity(setup, setup.degree, setup.n - 1)
+
+
+def test_multiplicity_rejects_p_out_of_range(setups):
+    setup = setups["example-b1"]
+    for p in (-1, setup.n):
+        with pytest.raises(ValueError):
+            multiplicity(setup, 1, p)
+
+
+def test_multiplicity_matches_free_ring_reference(setups):
+    # the whole integrand in the free ring, reduced at the very end
+    for name, setup in setups.items():
+        n, d = setup.n, setup.degree
+        for k in range(1, d + 1):
+            eig = beta(setup.arrangement, k)
+            for p in range(n):
+                if k == d and p == n - 1:
+                    continue
+                integrand = r_alpha(setup.classes, eig, p) * setup.classes.todd
+                want = reduce_top(integrand, setup.ideal) * (-1) ** (n - 1 - p)
+                assert multiplicity(setup, k, p) == want, (name, k, p)
+
+
+def test_threads_share_fresh_caches():
+    # many threads fill the per-cell caches of a fresh setup at once
+    want = spectrum_from_setup(prepare(resolve_fixture("generic3d:5")))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = spectrum_from_setup(prepare(resolve_fixture("generic3d:5")), jobs=8)
+    finally:
+        sys.setswitchinterval(old)
+    assert got == want
 
 
 def test_three_lines_spectrum(results):
