@@ -19,17 +19,7 @@ from .arrangement import (
     euler_projective_complement,
 )
 from .checks import CheckResult, plane_curve_oracle, run_checks
-from .chern import (
-    CharClasses,
-    ch_dual_exterior,
-    ch_dual_exterior_roots,
-    char_classes,
-    chern_log_forms,
-    chern_total,
-    exterior_chern,
-    q_series,
-    todd_class,
-)
+from .chern import CharClasses, ch_dual_exterior_roots, char_classes, q_series
 from .nested import (
     BuildingSet,
     building_from_closures,
@@ -85,15 +75,11 @@ __all__ = [
     "beta",
     "build_lattice",
     "building_from_closures",
-    "ch_dual_exterior",
     "ch_dual_exterior_roots",
     "char_classes",
-    "chern_log_forms",
-    "chern_total",
     "d_value",
     "enumerate_nested",
     "euler_projective_complement",
-    "exterior_chern",
     "ideal_generators",
     "ideal_membership",
     "is_nested",
@@ -110,7 +96,6 @@ __all__ = [
     "s_value",
     "spectrum",
     "spectrum_from_setup",
-    "todd_class",
     "twist_exp",
     "__version__",
 ]

@@ -1,18 +1,29 @@
 """Characteristic classes on the log resolution, as truncated polynomials.
 
-Everything is driven by the series Q(x) = x / (1 - exp(-x)).  The total
-Chern class of the resolution and its Todd class are products of local
-factors, one per building-set element, each a rational expression in the
-sums of variables strictly below / weakly below the element.  From the
-Chern class of the sheaf of logarithmic differentials the Chern classes
-of its exterior powers are produced by rewriting the universal splitting
-computation in the elementary-symmetric basis, and Chern characters of
-the dual bundles follow from Newton's identities.
+In K-theory the tangent bundle of the resolution is a signed sum of line
+bundles, up to trivial summands.  `tangent_roots` lists their first Chern
+classes with multiplicities, the virtual Chern roots: n copies of -c_0,
+then for each further building-set element v of codimension r, -r copies
+of minus the sum of the variables strictly below v, one copy of c_v, and
+r copies of minus the sum of the variables weakly below v.  The dual of
+the sheaf of logarithmic one-forms has the same roots plus c_v with
+multiplicity -1 for each boundary divisor.
 
-Two deliberately independent routes to the same Chern character are kept:
-`ch_dual_exterior` (elementary-symmetric rewriting plus Newton's
-identities) and `ch_dual_exterior_roots` (direct expansion of the
-exponential sums in formal roots).  They must agree as free-ring
+Every class is read off the power sums P_k = sum of m * x^k over the
+roots (m, x).  A multiplicative class with series g is
+exp(sum_k (log g)_k P_k): the total Chern class takes g = 1 + x, the Todd
+class g = Q(x) = x / (1 - exp(-x)).  A bundle of rank r has Chern
+character r + sum_k P_k / k!.  The Chern characters of the exterior
+powers of the dual log forms follow from the lambda-ring Newton identity
+
+    lambda^p = (1/p) * sum_{j=1..p} (-1)^(j-1) psi^j * lambda^(p-j),
+
+where the Adams operation psi^j scales the degree-i part by j^i.
+
+`ch_dual_exterior_roots` is kept as an independent route to the same
+Chern characters: it expands the exponential sums over formal roots,
+rewrites them in elementary symmetric functions and substitutes the
+graded parts of the log Chern class.  The two must agree as free-ring
 polynomials; the verification harness compares them term by term.
 """
 
@@ -20,8 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
-from math import comb, factorial
+from math import factorial
+from operator import mul
 
 from .arrangement import StructureError
 from .nested import BuildingSet
@@ -39,6 +52,21 @@ def q_series(deg: int) -> list[Fraction]:
     for k in range(1, deg + 1):
         q.append(-sum((e[i] * q[k - i] for i in range(1, k + 1)), _ZERO))
     return q
+
+
+def series_log(coeffs: list[Fraction]) -> list[Fraction]:
+    """Coefficients of log g for the series g with the given coefficients.
+
+    g must have constant term 1.  From g' = (log g)' * g, the k-th
+    coefficient l_k of log g satisfies k*g_k = sum_{i=1..k} i*l_i*g_(k-i).
+    """
+    if coeffs[0] != 1:
+        raise ValueError("series log needs constant term 1")
+    out = [_ZERO]
+    for k in range(1, len(coeffs)):
+        rest = sum((i * out[i] * coeffs[k - i] for i in range(1, k)), _ZERO)
+        out.append(coeffs[k] - rest / k)
+    return out
 
 
 def series_apply(coeffs: list[Fraction], z: GradedPoly) -> GradedPoly:
@@ -60,249 +88,37 @@ def series_apply(coeffs: list[Fraction], z: GradedPoly) -> GradedPoly:
     return out
 
 
-def _below_sums(bs: BuildingSet, v: int):
-    nv, trunc = bs.size, bs.n - 1
-    strict = GradedPoly.zero(nv, trunc)
-    for w in range(nv):
-        if bs.lt(w, v):
-            strict = strict + GradedPoly.variable(w, nv, trunc)
-    weak = strict + GradedPoly.variable(v, nv, trunc)
-    return strict, weak
+def tangent_roots(bs: BuildingSet) -> list[tuple[int, GradedPoly]]:
+    """Virtual Chern roots of the resolution's tangent bundle.
 
-
-def chern_total(bs: BuildingSet) -> GradedPoly:
-    """Total Chern class of the resolution."""
+    A list of (multiplicity, first Chern class) pairs; the total Chern
+    class is the product of (1 + x)^m over them.
+    """
     nv, trunc = bs.size, bs.n - 1
-    one = GradedPoly.constant(1, nv, trunc)
-    c0 = GradedPoly.variable(0, nv, trunc)
-    total = (one - c0) ** bs.n
+    var = [GradedPoly.variable(i, nv, trunc) for i in range(nv)]
+    roots = [(bs.n, -var[0])]
     for v in range(1, nv):
         r = bs.codims[v]
-        strict, weak = _below_sums(bs, v)
-        cv = GradedPoly.variable(v, nv, trunc)
-        total = total * (one - strict) ** (-r) * (one + cv) * (one - weak) ** r
-    return total
+        strict = sum((var[w] for w in range(nv) if bs.lt(w, v)), GradedPoly.zero(nv, trunc))
+        roots += [(-r, -strict), (1, var[v]), (r, -(strict + var[v]))]
+    return roots
 
 
-def todd_class(bs: BuildingSet) -> GradedPoly:
-    """Todd class of the resolution."""
-    nv, trunc = bs.size, bs.n - 1
-    q = q_series(trunc)
-    c0 = GradedPoly.variable(0, nv, trunc)
-    total = series_apply(q, -c0) ** bs.n
-    for v in range(1, nv):
-        r = bs.codims[v]
-        strict, weak = _below_sums(bs, v)
-        cv = GradedPoly.variable(v, nv, trunc)
-        total = (
-            total
-            * series_apply(q, -strict) ** (-r)
-            * series_apply(q, cv)
-            * series_apply(q, -weak) ** r
-        )
-    return total
+def _power_sums(roots: list[tuple[int, GradedPoly]], bs: BuildingSet) -> list[GradedPoly]:
+    """P_k = sum of m * x^k over the roots, for k = 0 .. n-1 (P_0 is left zero)."""
+    trunc = bs.n - 1
+    sums = [GradedPoly.zero(bs.size, trunc) for _ in range(trunc + 1)]
+    for m, x in roots:
+        power = x * m
+        for k in range(1, trunc + 1):
+            sums[k] = sums[k] + power
+            power = power * x
+    return sums
 
 
-def chern_log_forms(bs: BuildingSet, total_chern: GradedPoly) -> GradedPoly:
-    """Chern class of the logarithmic cotangent sheaf along the boundary.
-
-    Dualizing flips the sign of each odd-degree part of the Chern class;
-    the boundary divisors then contribute one geometric factor each.
-    """
-    out = total_chern.alternate_signs()
-    nv, trunc = bs.size, bs.n - 1
-    one = GradedPoly.constant(1, nv, trunc)
-    for v in range(1, nv):
-        cv = GradedPoly.variable(v, nv, trunc)
-        out = out * (one - cv).geom_inv()
-    return out
-
-
-# --- symmetric-function engine in formal roots ---------------------------
-#
-# Root polynomials are dicts mapping an exponent tuple over the m formal
-# roots to a Fraction; they stay homogeneous of degree <= the truncation.
-
-RootPoly = dict[tuple[int, ...], Fraction]
-
-
-def _rp_mul(a: RootPoly, b: RootPoly, cap: int) -> RootPoly:
-    out: RootPoly = {}
-    for ma, ca in a.items():
-        da = sum(ma)
-        for mb, cb in b.items():
-            if da + sum(mb) > cap:
-                continue
-            mono = tuple(x + y for x, y in zip(ma, mb))
-            nv = out.get(mono, _ZERO) + ca * cb
-            if nv:
-                out[mono] = nv
-            else:
-                out.pop(mono, None)
-    return out
-
-
-def _rp_pow(a: RootPoly, k: int, cap: int, m: int) -> RootPoly:
-    out: RootPoly = {(0,) * m: _ONE}
-    for _ in range(k):
-        out = _rp_mul(out, a, cap)
-    return out
-
-
-def _elementary(m: int, j: int) -> RootPoly:
-    out: RootPoly = {}
-    for combo in combinations(range(m), j):
-        mono = tuple(1 if i in combo else 0 for i in range(m))
-        out[mono] = _ONE
-    return out
-
-
-def sym_to_elementary(sym: RootPoly, m: int) -> dict[tuple[int, ...], Fraction]:
-    """Rewrite a symmetric root polynomial in the elementary basis.
-
-    Repeatedly strips the lexicographically leading term; a leading
-    exponent that is not weakly decreasing means the input was not
-    symmetric, which is an internal error here.
-    """
-    work = {mo: c for mo, c in sym.items() if c}
-    cap = max((sum(mo) for mo in work), default=0)
-    out: dict[tuple[int, ...], Fraction] = {}
-    while work:
-        lead = max(work)
-        if any(lead[i] < lead[i + 1] for i in range(m - 1)):
-            raise StructureError("root polynomial is not symmetric")
-        emono = tuple(lead[i] - lead[i + 1] for i in range(m - 1)) + (lead[m - 1],)
-        coeff = work[lead]
-        out[emono] = out.get(emono, _ZERO) + coeff
-        expansion: RootPoly = {(0,) * m: _ONE}
-        for j, e in enumerate(emono):
-            if e:
-                expansion = _rp_mul(expansion, _rp_pow(_elementary(m, j + 1), e, cap, m), cap)
-        for mono, c in expansion.items():
-            nv = work.get(mono, _ZERO) - coeff * c
-            if nv:
-                work[mono] = nv
-            else:
-                work.pop(mono, None)
-    return {mo: c for mo, c in out.items() if c}
-
-
-def _substitute_elementary(
-    rewritten: dict[tuple[int, ...], Fraction], h_parts: list[GradedPoly], nv: int, trunc: int
-) -> GradedPoly:
-    """Plug the graded parts of the log Chern class into e_1, ..., e_m."""
-    out = GradedPoly.zero(nv, trunc)
-    for emono, coeff in rewritten.items():
-        term = GradedPoly.constant(coeff, nv, trunc)
-        for j, e in enumerate(emono):
-            for _ in range(e):
-                term = term * h_parts[j + 1]
-        out = out + term
-    return out
-
-
-def exterior_chern(bs: BuildingSet, p: int, log_chern: GradedPoly) -> list[GradedPoly]:
-    """Chern classes of the p-th exterior power of the log forms sheaf.
-
-    Returns the list indexed by degree 0 .. n-1.  Universally, the total
-    Chern class of the exterior power is the product of (1 + sum of p
-    distinct roots); each coefficient is symmetric, hence a polynomial in
-    the elementary symmetric functions, which are the graded parts of the
-    log Chern class itself.
-    """
-    nv, trunc = bs.size, bs.n - 1
-    m = trunc
-    one = GradedPoly.constant(1, nv, trunc)
-    zero = GradedPoly.zero(nv, trunc)
-    if p == 0:
-        return [one] + [zero] * trunc
-    if not 0 < p <= m:
-        raise ValueError(f"exterior power {p} out of range 0..{m}")
-
-    tcoefs: list[RootPoly] = [{(0,) * m: _ONE}]
-    for combo in combinations(range(m), p):
-        ell: RootPoly = {tuple(1 if i == r else 0 for i in range(m)): _ONE for r in combo}
-        nxt: list[RootPoly] = []
-        for i in range(min(len(tcoefs) + 1, trunc + 1)):
-            cur: RootPoly = dict(tcoefs[i]) if i < len(tcoefs) else {}
-            if i >= 1:
-                for mono, c in _rp_mul(tcoefs[i - 1], ell, trunc).items():
-                    nvl = cur.get(mono, _ZERO) + c
-                    if nvl:
-                        cur[mono] = nvl
-                    else:
-                        cur.pop(mono, None)
-            nxt.append(cur)
-        tcoefs = nxt
-
-    h_parts = log_chern.graded_parts()
-    row = []
-    for i in range(trunc + 1):
-        if i < len(tcoefs) and tcoefs[i]:
-            rewritten = sym_to_elementary(tcoefs[i], m)
-            row.append(_substitute_elementary(rewritten, h_parts, nv, trunc))
-        else:
-            row.append(zero)
-    return row
-
-
-def dual_twist(row: list[GradedPoly]) -> list[GradedPoly]:
-    """Chern classes of the dual bundle: flip the sign in each odd degree."""
-    return [cls * ((-1) ** i) for i, cls in enumerate(row)]
-
-
-def ch_dual_exterior(bs: BuildingSet, p: int, exterior_row: list[GradedPoly]) -> GradedPoly:
-    """Chern character of the dual of the p-th exterior power.
-
-    Newton's identities convert the (dualized) Chern classes to power
-    sums; the rank contributes the constant term.
-    """
-    nv, trunc = bs.size, bs.n - 1
-    rank = comb(trunc, p)
-    chat = dual_twist(exterior_row)
-    power_sums: list[GradedPoly] = []
-    for j in range(1, trunc + 1):
-        acc = chat[j] * ((-1) ** (j - 1) * j)
-        for i in range(1, j):
-            acc = acc + chat[j - i] * power_sums[i - 1] * ((-1) ** (j - 1 + i))
-        power_sums.append(acc)
-    out = GradedPoly.constant(rank, nv, trunc)
-    for j, ps in enumerate(power_sums, start=1):
-        out = out + ps * Fraction(1, factorial(j))
-    return out
-
-
-def ch_dual_exterior_roots(bs: BuildingSet, p: int, log_chern: GradedPoly) -> GradedPoly:
-    """Same Chern character by direct expansion in formal roots.
-
-    Sums exp(-(sum of p distinct roots)) over all root subsets, degree by
-    degree, rewriting each symmetric slice in the elementary basis.  Kept
-    as an independent cross-check of `ch_dual_exterior`; the two must be
-    equal in the free truncated ring.
-    """
-    nv, trunc = bs.size, bs.n - 1
-    m = trunc
-    h_parts = log_chern.graded_parts()
-    out = GradedPoly.constant(comb(m, p), nv, trunc)
-    for j in range(1, trunc + 1):
-        slice_: RootPoly = {}
-        for combo in combinations(range(m), p):
-            ell: RootPoly = {
-                tuple(1 if i == r else 0 for i in range(m)): _ONE for r in combo
-            }
-            powj = _rp_pow(ell, j, trunc, m)
-            for mono, c in powj.items():
-                nvl = slice_.get(mono, _ZERO) + c
-                if nvl:
-                    slice_[mono] = nvl
-                else:
-                    slice_.pop(mono, None)
-        if not slice_:
-            continue
-        rewritten = sym_to_elementary(slice_, m)
-        piece = _substitute_elementary(rewritten, h_parts, nv, trunc)
-        out = out + piece * Fraction((-1) ** j, factorial(j))
-    return out
+def _root_sum(f: list[Fraction], sums: list[GradedPoly]) -> GradedPoly:
+    """Sum of m * f(x) over the roots behind the power sums, without f(0)."""
+    return sum((ps * f[k] for k, ps in enumerate(sums) if k), sums[0])
 
 
 @dataclass
@@ -313,18 +129,65 @@ class CharClasses:
     total: GradedPoly
     todd: GradedPoly
     log_chern: GradedPoly
-    exterior: tuple[tuple[GradedPoly, ...], ...]
     dual_ch: tuple[GradedPoly, ...]
 
 
 def char_classes(bs: BuildingSet) -> CharClasses:
-    total = chern_total(bs)
-    todd = todd_class(bs)
-    log_chern = chern_log_forms(bs, total)
-    exterior = []
-    dual_ch = []
-    for p in range(bs.n):
-        row = exterior_chern(bs, p, log_chern)
-        exterior.append(tuple(row))
-        dual_ch.append(ch_dual_exterior(bs, p, row))
-    return CharClasses(bs, total, todd, log_chern, tuple(exterior), tuple(dual_ch))
+    """Every class of the spectrum formula, from the virtual tangent roots."""
+    nv, trunc = bs.size, bs.n - 1
+    tangent = _power_sums(tangent_roots(bs), bs)
+    boundary = [(-1, GradedPoly.variable(v, nv, trunc)) for v in range(1, nv)]
+    dual_log = [a + b for a, b in zip(tangent, _power_sums(boundary, bs))]
+
+    log_one_plus_x = series_log([_ONE, _ONE] + [_ZERO] * (trunc - 1))
+    total = _root_sum(log_one_plus_x, tangent).exp()
+    todd = _root_sum(series_log(q_series(trunc)), tangent).exp()
+    # the log forms are the dual: every root changes sign
+    log_chern = _root_sum(log_one_plus_x, dual_log).exp().adams(-1)
+
+    ch = _root_sum([Fraction(1, factorial(k)) for k in range(bs.n)], dual_log) + trunc
+    # lambda^p = (1/p) * sum_j (-1)^(j-1) * psi^j(ch) * lambda^(p-j)
+    psi = [ch.adams(j) for j in range(bs.n)]
+    dual_ch = [GradedPoly.constant(1, nv, trunc)]
+    for p in range(1, bs.n):
+        acc = sum(
+            (psi[j] * dual_ch[p - j] * (-1) ** (j - 1) for j in range(1, p + 1)),
+            GradedPoly.zero(nv, trunc),
+        )
+        dual_ch.append(acc * Fraction(1, p))
+    return CharClasses(bs, total, todd, log_chern, tuple(dual_ch))
+
+
+def ch_dual_exterior_roots(bs: BuildingSet, p: int, log_chern: GradedPoly) -> GradedPoly:
+    """Chern character of the dual of the p-th exterior power of the log forms.
+
+    Sums exp(-(sum of p distinct roots)) over all subsets of m = n-1
+    formal roots, rewrites the symmetric result in the elementary basis
+    by stripping lexicographically leading terms, and substitutes the
+    graded parts of `log_chern` for the elementary symmetric functions.
+    Kept as an independent check of `char_classes`; the two must be equal
+    in the free truncated ring.
+    """
+    nv, m = bs.size, bs.n - 1
+    roots = [GradedPoly.variable(i, m, m) for i in range(m)]
+    one, zero = GradedPoly.constant(1, m, m), GradedPoly.zero(m, m)
+    elementary = reduce(mul, (one + x for x in roots)).graded_parts()
+    h_parts = log_chern.graded_parts()
+
+    work = sum(((-sum(combo, zero)).exp() for combo in combinations(roots, p)), zero)
+    out = GradedPoly.zero(nv, m)
+    while work.terms:
+        lead = max(work.terms)
+        if any(lead[i] < lead[i + 1] for i in range(m - 1)):
+            raise StructureError("root polynomial is not symmetric")
+        coeff = work.terms[lead]
+        # e_1^(l_1 - l_2) * e_2^(l_2 - l_3) * ... * e_m^(l_m) leads with `lead`
+        exps = [lead[i] - (lead[i + 1] if i + 1 < m else 0) for i in range(m)]
+        expansion, term = one, GradedPoly.constant(coeff, nv, m)
+        for j, e in enumerate(exps, start=1):
+            for _ in range(e):
+                expansion = expansion * elementary[j]
+                term = term * h_parts[j]
+        work = work - expansion * coeff
+        out = out + term
+    return out

@@ -204,9 +204,14 @@ class GradedPoly:
     def graded_parts(self) -> list["GradedPoly"]:
         return [self.graded_part(j) for j in range(self.trunc + 1)]
 
+    def adams(self, k: int) -> "GradedPoly":
+        """Adams operation psi^k on a Chern character: scale degree i by k^i."""
+        scaled = {m: c * k ** sum(m) for m, c in self.terms.items()}
+        return GradedPoly(self.nvars, self.trunc, scaled)
+
     def alternate_signs(self) -> "GradedPoly":
         """Flip the sign of every odd-degree term."""
-        return self._like({m: (-c if sum(m) % 2 else c) for m, c in self.terms.items()})
+        return self.adams(-1)
 
     def degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)

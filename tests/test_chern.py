@@ -6,15 +6,13 @@ from math import comb, factorial
 from arrspec import (
     Arrangement,
     GradedPoly,
-    ch_dual_exterior,
     ch_dual_exterior_roots,
-    exterior_chern,
     ideal_membership,
     prepare,
     q_series,
     reduce_top,
 )
-from arrspec.chern import dual_twist, series_apply
+from arrspec.chern import series_apply, series_log, tangent_roots
 
 
 def test_q_series_frozen_values():
@@ -44,6 +42,19 @@ def test_q_series_defining_identity():
     assert prod == [Fraction(0), Fraction(1)] + [Fraction(0)] * (deg - 1)
 
 
+def test_series_log_of_one_plus_x_frozen_values():
+    # log(1 + x) = x - x^2/2 + x^3/3 - ...
+    log = series_log([Fraction(1), Fraction(1)] + [Fraction(0)] * 5)
+    assert log == [Fraction(0)] + [Fraction((-1) ** (k - 1), k) for k in range(1, 7)]
+
+
+def test_series_log_exponentiates_back():
+    x = GradedPoly.variable(0, 1, 6)
+    cubic = [Fraction(1), Fraction(-3), Fraction(2, 7), Fraction(5)] + [Fraction(0)] * 3
+    for coeffs in (q_series(6), cubic):
+        assert series_apply(series_log(coeffs), x).exp() == series_apply(coeffs, x)
+
+
 def test_series_apply_matches_exp():
     z = GradedPoly.variable(0, 2, 3) + GradedPoly.variable(1, 2, 3)
     coeffs = [Fraction(1, factorial(k)) for k in range(4)]
@@ -71,8 +82,6 @@ def test_three_lines_classes_free_ring():
     assert cl.total == one - 2 * c[0]
     assert cl.todd == one - c[0]
     assert cl.log_chern == one + 2 * c[0] + c[1] + c[2] + c[3]
-    assert cl.exterior[0][0] == one
-    assert cl.exterior[1][1] == 2 * c[0] + c[1] + c[2] + c[3]
     assert cl.dual_ch[0] == one
     assert cl.dual_ch[1] == one - (2 * c[0] + c[1] + c[2] + c[3])
 
@@ -110,10 +119,23 @@ def test_quartic_classes_mod_ideal():
     )
 
 
-def test_todd_integrates_to_one_on_quartic_resolution():
-    # the resolution is rational, so the Todd class evaluates to 1
-    assert reduce_top(QUARTIC.classes.todd, QUARTIC.ideal) == 1
-    assert reduce_top(THREE_LINES.classes.todd, THREE_LINES.ideal) == 1
+def test_todd_integrates_to_one_on_quartic_resolution(setups):
+    # every resolution here is rational, so the Todd class evaluates to 1
+    for setup in (QUARTIC, THREE_LINES, SINGLE, *setups.values()):
+        assert reduce_top(setup.classes.todd, setup.ideal) == 1
+
+
+def test_classes_equal_products_over_tangent_roots(setups):
+    # the exponential of summed logarithms is the product of the factors
+    for setup in setups.values():
+        bs, cl = setup.building, setup.classes
+        q = q_series(setup.n - 1)
+        total = todd = GradedPoly.constant(1, bs.size, setup.n - 1)
+        for m, x in tangent_roots(bs):
+            total = total * (1 + x) ** m
+            todd = todd * series_apply(q, x) ** m
+        assert cl.total == total
+        assert cl.todd == todd
 
 
 def test_single_hyperplane_is_projective_plane():
@@ -125,36 +147,11 @@ def test_single_hyperplane_is_projective_plane():
     assert reduce_top(cl.todd, ideal) == 1
 
 
-def test_exterior_chern_zeroth_power():
-    for setup in (THREE_LINES, QUARTIC):
-        row = setup.classes.exterior[0]
-        assert row[0].constant_term == 1
-        assert all(not row[i].terms for i in range(1, len(row)))
-
-
-def test_exterior_chern_first_power_is_log_chern():
-    for setup in (THREE_LINES, QUARTIC):
-        cl = setup.classes
-        for i in range(setup.n):
-            assert cl.exterior[1][i] == cl.log_chern.graded_part(i)
-
-
 def test_top_exterior_power_is_line_bundle():
     for setup in (THREE_LINES, QUARTIC, SINGLE):
         cl = setup.classes
         top = setup.n - 1
-        row = cl.exterior[top]
-        assert row[1] == cl.log_chern.graded_part(1)
-        for i in range(2, setup.n):
-            assert not row[i].terms
-        assert cl.dual_ch[top] == (-row[1]).exp()
-
-
-def test_dual_twist_is_an_involution():
-    for setup in (THREE_LINES, QUARTIC):
-        for row in setup.classes.exterior:
-            twice = dual_twist(dual_twist(list(row)))
-            assert twice == list(row)
+        assert cl.dual_ch[top] == (-cl.log_chern.graded_part(1)).exp()
 
 
 def test_chern_character_cross_route():
@@ -171,14 +168,3 @@ def test_chern_character_ranks_sum_to_euler_of_exterior_algebra():
         assert total == 2 ** (setup.n - 1)
         for p, cls in enumerate(setup.classes.dual_ch):
             assert cls.constant_term == comb(setup.n - 1, p)
-
-
-def test_exterior_rows_recombine_into_whitney_products():
-    # c(E) for the second exterior power of a rank-2 bundle equals 1 + c_1
-    cl = QUARTIC.classes
-    bs = QUARTIC.building
-    row = exterior_chern(bs, 2, cl.log_chern)
-    assert row[1] == cl.log_chern.graded_part(1)
-    assert not row[2].terms
-    rebuilt = ch_dual_exterior(bs, 2, row)
-    assert rebuilt == cl.dual_ch[2]
