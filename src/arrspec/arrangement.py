@@ -10,6 +10,14 @@ canonically identified by its *closure*: the sorted tuple of indices of
 every hyperplane that contains it.  Two flats are then equal iff their
 closures are equal, and flat V is contained in flat W (as subspaces) iff
 closure(W) is a subset of closure(V).
+
+`build_lattice` walks the lattice upward one cover at a time.  Each flat
+of rank r keeps the echelon basis of its normals; a cover is that basis
+plus one more normal, and only hyperplanes outside the flat and outside
+every cover already found from it need a containment test, since two
+covers of a flat share only the flat's own hyperplanes.  Once the
+lattice is built, `IntersectionLattice.closure_of` is a lookup in it: no
+elimination runs after `build_lattice`.
 """
 
 from __future__ import annotations
@@ -179,23 +187,19 @@ class IntersectionLattice:
         return set(b.closure) <= set(a.closure)
 
     def closure_of(self, indices) -> tuple[tuple[int, ...], int]:
-        """Closure and rank of the span of the given hyperplanes' normals."""
+        """Closure and rank of the span of the given hyperplanes' normals.
+
+        Flats are sorted by ascending codimension, so the first one whose
+        closure holds every index is their span.
+        """
         key = frozenset(indices)
         hit = self._closure_cache.get(key)
-        if hit is not None:
-            return hit
-        normals = [h.normal for h in self.arrangement.hyperplanes]
-        basis = EchelonBasis()
-        for i in key:
-            basis.insert({j: c for j, c in enumerate(normals[i]) if c})
-        closure = tuple(
-            j
-            for j in range(len(normals))
-            if basis.contains({k: c for k, c in enumerate(normals[j]) if c})
-        )
-        result = (closure, basis.rank)
-        self._closure_cache[key] = result
-        return result
+        if hit is None:
+            flat = next((f for f, s in zip(self.flats, self._sets) if key <= s), None)
+            if flat is None:
+                raise ValueError(f"hyperplane indices {sorted(key)!r} out of range")
+            hit = self._closure_cache.setdefault(key, (flat.closure, flat.codim))
+        return hit
 
     @property
     def is_essential(self) -> bool:
@@ -206,20 +210,18 @@ class IntersectionLattice:
         return [f for f in self.flats if f.codim == 1]
 
     def covers(self) -> list[tuple[int, int]]:
-        """Pairs (i, j) of flat indices where flats[i] covers flats[j]."""
-        out = []
-        m = len(self.flats)
-        for i in range(m):
-            for j in range(m):
-                if i == j or not self._sets[i] < self._sets[j]:
-                    continue
-                # cover: nothing strictly between
-                strict = any(
-                    self._sets[i] < self._sets[k] < self._sets[j] for k in range(m)
-                )
-                if not strict:
-                    out.append((i, j))
-        return out
+        """Pairs (i, j) of flat indices where flats[i] covers flats[j].
+
+        The lattice is geometric, so a containment one rank apart is a cover.
+        """
+        codims, sets = [f.codim for f in self.flats], self._sets
+        m = len(sets)
+        return [
+            (i, j)
+            for i in range(m)
+            for j in range(m)
+            if codims[j] == codims[i] + 1 and sets[i] < sets[j]
+        ]
 
     def __repr__(self) -> str:
         return f"IntersectionLattice({len(self.flats)} flats of {self.arrangement!r})"
@@ -227,29 +229,39 @@ class IntersectionLattice:
 
 def build_lattice(arrangement: Arrangement) -> IntersectionLattice:
     """Enumerate all flats of the arrangement and their Mobius values."""
-    normals = [h.normal for h in arrangement.hyperplanes]
-    m = len(normals)
-
-    lat = IntersectionLattice.__new__(IntersectionLattice)
-    lat.arrangement = arrangement
-    lat._closure_cache = {}
+    normals = [{j: c for j, c in enumerate(h.normal) if c} for h in arrangement.hyperplanes]
+    n, m = arrangement.n, len(normals)
 
     found: dict[tuple[int, ...], int] = {(): 0}
-    frontier = [()]
+    frontier = [((), EchelonBasis())]
     while frontier:
         nxt = []
-        for cl in frontier:
-            have = set(cl)
+        for cl, basis in frontier:
+            rank = basis.rank + 1
+            covered = set(cl)
             for i in range(m):
-                if i in have:
+                if i in covered:
                     continue
-                closure, rank = lat.closure_of(have | {i})
+                cover = basis.copy()
+                cover.insert(normals[i])
+                if rank == 1:
+                    # proportional normals are rejected by Arrangement
+                    closure = (i,)
+                elif rank == n:
+                    closure = tuple(range(m))
+                else:
+                    # every j < i outside the flat lies in an earlier cover
+                    extra = [
+                        j for j in range(i + 1, m)
+                        if j not in covered and cover.contains(normals[j])
+                    ]
+                    closure = tuple(sorted((*cl, i, *extra)))
+                covered.update(closure)
                 if closure not in found:
                     found[closure] = rank
-                    nxt.append(closure)
+                    nxt.append((closure, cover))
         frontier = nxt
 
-    n = arrangement.n
     flats = [Flat(cl, n - r, r) for cl, r in found.items()]
     flats.sort(key=lambda f: (f.codim, f.closure))
     sets = [frozenset(f.closure) for f in flats]
@@ -262,11 +274,7 @@ def build_lattice(arrangement: Arrangement) -> IntersectionLattice:
         else:
             mobius[i] = -sum(mobius[j] for j in range(len(flats)) if sets[j] < sets[i])
 
-    lat.flats = tuple(flats)
-    lat.mobius = tuple(mobius)
-    lat._index = {f.closure: i for i, f in enumerate(flats)}
-    lat._sets = sets
-    return lat
+    return IntersectionLattice(arrangement, flats, mobius)
 
 
 def euler_projective_complement(lattice: IntersectionLattice) -> int:

@@ -30,6 +30,12 @@ class EchelonBasis:
     def rank(self) -> int:
         return len(self.rows)
 
+    def copy(self) -> "EchelonBasis":
+        """An independent basis of the same span (rows are copied, not shared)."""
+        out = EchelonBasis()
+        out.rows = {p: dict(row) for p, row in self.rows.items()}
+        return out
+
     def reduce(self, vec: SparseVec) -> SparseVec:
         """Normal form of `vec` modulo the row span."""
         out = dict(vec)

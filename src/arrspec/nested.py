@@ -128,8 +128,11 @@ def maximal_building(lattice: IntersectionLattice) -> BuildingSet:
 def building_from_closures(lattice: IntersectionLattice, closure_sets) -> BuildingSet:
     """Building set from explicit closure sets (expert option).
 
-    Every codimension-1 flat must be listed; whether the selection is a
-    genuine building set beyond that is the caller's responsibility.
+    Every codimension-1 flat must be listed, and the selection must satisfy
+    the building-set axiom: for every proper flat X, the smallest listed
+    flats containing X (those whose closures are inclusion-maximal inside
+    X's closure) have codimensions summing to codim(X), so X is their
+    direct sum.  A selection that fails is rejected with a `ValidationError`.
     """
     chosen: dict[tuple[int, ...], Flat] = {}
     zero_included = False
@@ -140,14 +143,27 @@ def building_from_closures(lattice: IntersectionLattice, closure_sets) -> Buildi
             raise ValidationError(f"closure set {list(raw)!r} is not a proper flat")
         if flat.dim == 0:
             zero_included = True
-        else:
-            chosen[flat.closure] = flat
+        chosen[flat.closure] = flat
     for f in lattice.hyperplane_flats():
         if f.closure not in chosen:
             raise ValidationError(
                 f"building set must contain every hyperplane flat; missing {list(f.closure)!r}"
             )
-    flats = sorted(chosen.values(), key=lambda f: (f.dim, f.closure))
+    listed = [(frozenset(c), f.codim) for c, f in chosen.items()]
+    for x in lattice.flats:
+        if x.codim == 0:
+            continue
+        xs = frozenset(x.closure)
+        below = [(s, c) for s, c in listed if s <= xs]
+        factors = sum(c for s, c in below if not any(s < t for t, _ in below))
+        if factors != x.codim:
+            raise ValidationError(
+                f"not a building set: the smallest listed flats containing {list(x.closure)!r} "
+                f"have codimensions summing to {factors}, not its codimension {x.codim}"
+            )
+    flats = sorted(
+        (f for f in chosen.values() if f.dim > 0), key=lambda f: (f.dim, f.closure)
+    )
     return BuildingSet(lattice, flats, zero_flat_included=zero_included)
 
 

@@ -209,10 +209,6 @@ class GradedPoly:
         scaled = {m: c * k ** sum(m) for m, c in self.terms.items()}
         return GradedPoly(self.nvars, self.trunc, scaled)
 
-    def alternate_signs(self) -> "GradedPoly":
-        """Flip the sign of every odd-degree term."""
-        return self.adams(-1)
-
     def degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
 

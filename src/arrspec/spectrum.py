@@ -12,8 +12,8 @@ spectrum; every candidate is an exact integer, which is asserted.
 
 Only the top-degree part of the integrand is ever formed: the product
 ch * Todd is computed once per p and the exponential once per distinct
-vector of shifts, both cached on the `SpectrumSetup`, and each cell pairs
-the two with `pair_top`.
+vector of shifts (the shifts themselves once per k), all cached on the
+`SpectrumSetup`, and each cell pairs the two with `pair_top`.
 """
 
 from __future__ import annotations
@@ -106,6 +106,9 @@ class SpectrumSetup:
     _twists: dict[tuple[int, ...], GradedPoly] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _twist_of_k: dict[int, GradedPoly] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def n(self) -> int:
@@ -122,13 +125,19 @@ class SpectrumSetup:
             got = self._ch_todd.setdefault(q, self.classes.dual_ch[q] * self.classes.todd)
         return got
 
-    def twist(self, eig: EigenData) -> GradedPoly:
-        """`twist_exp` of the eigenvalue, computed once per vector of twist coefficients."""
-        bs = self.building
-        key = tuple(a_coeff(bs, v, eig) for v in range(bs.size))
-        got = self._twists.get(key)
+    def twist(self, k: int) -> GradedPoly:
+        """`twist_exp` of the k-th eigenvalue, computed once per vector of twist coefficients.
+
+        Raises ValueError for k outside 1..degree.
+        """
+        got = self._twist_of_k.get(k)
         if got is None:
-            got = self._twists.setdefault(key, twist_exp(bs, eig))
+            bs, eig = self.building, beta(self.arrangement, k)
+            key = tuple(a_coeff(bs, v, eig) for v in range(bs.size))
+            got = self._twists.get(key)
+            if got is None:
+                got = self._twists.setdefault(key, twist_exp(bs, eig))
+            got = self._twist_of_k.setdefault(k, got)
         return got
 
 
@@ -148,10 +157,10 @@ def multiplicity(setup: SpectrumSetup, k: int, p: int) -> int:
     n, d = setup.n, setup.degree
     if k == d and p == n - 1:
         raise ValueError("the exponent n is excluded from the spectrum")
-    eig = beta(setup.arrangement, k)
+    twist = setup.twist(k)
     _check_p(p, n)
     q = n - 1 - p
-    value = pair_top(setup.ch_todd(q), setup.twist(eig), setup.ideal) * (-1) ** q
+    value = pair_top(setup.ch_todd(q), twist, setup.ideal) * (-1) ** q
     if value.denominator != 1:
         raise StructureError(
             f"non-integral multiplicity {value} at k={k}, p={p}"

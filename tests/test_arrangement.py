@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from arrspec import (
     build_lattice,
     euler_projective_complement,
 )
+from arrspec.linalg import EchelonBasis
 
 THREE_LINES = Arrangement.from_normals(2, [(1, 0), (0, 1), (1, 1)])
 QUARTIC = Arrangement.from_normals(3, [(1, -1, 0), (1, 1, 0), (1, 0, -1), (1, 0, 1)])
@@ -186,3 +188,53 @@ def test_mobius_alternating_sum_is_euler_compatible(arr):
             mu for s, mu in zip(sets, lat.mobius) if s <= sets[i]
         )
         assert total == 0
+
+
+# nonzero vectors of {-1, 0, 1}^n up to sign: no two are proportional
+TERNARY = {
+    n: [v for v in product((-1, 0, 1), repeat=n) if any(v) and next(c for c in v if c) == 1]
+    for n in (3, 4)
+}
+
+
+@st.composite
+def ternary_arrangements(draw):
+    n = draw(st.sampled_from([3, 4]))
+    normals = draw(st.lists(st.sampled_from(TERNARY[n]), min_size=3, max_size=6, unique=True))
+    return Arrangement.from_normals(n, normals)
+
+
+def brute_closure(arr, indices):
+    """Closure and rank of a set of hyperplanes from a fresh elimination."""
+    vecs = [{j: c for j, c in enumerate(h.normal) if c} for h in arr.hyperplanes]
+    basis = EchelonBasis()
+    for i in indices:
+        basis.insert(vecs[i])
+    return tuple(j for j, v in enumerate(vecs) if basis.contains(v)), basis.rank
+
+
+@settings(max_examples=40, deadline=None)
+@given(ternary_arrangements(), st.data())
+def test_lattice_matches_brute_force_closures(arr, data):
+    # degenerate and non-essential inputs included; every flat is spanned by
+    # at most n of its hyperplanes
+    lat = build_lattice(arr)
+    brute = {
+        brute_closure(arr, sub)
+        for r in range(arr.n + 1)
+        for sub in combinations(range(arr.size), r)
+    }
+    assert [(f.closure, f.codim) for f in lat.flats] == sorted(brute, key=lambda cr: (cr[1], cr[0]))
+    assert all(f.dim == arr.n - f.codim for f in lat.flats)
+    for _ in range(5):
+        sub = data.draw(st.sets(st.integers(0, arr.size - 1)))
+        assert lat.closure_of(sub) == brute_closure(arr, sub)
+    # covers by definition: strictly below with nothing strictly between
+    sets = [frozenset(f.closure) for f in lat.flats]
+    covers = [
+        (i, j)
+        for i, a in enumerate(sets)
+        for j, b in enumerate(sets)
+        if a < b and not any(a < c < b for c in sets)
+    ]
+    assert lat.covers() == covers

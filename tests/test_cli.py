@@ -182,6 +182,20 @@ def test_building_set_file_invalid(capsys, tmp_path):
     assert "closure sets" in err
 
 
+def test_invalid_building_set_exits_1(capsys, tmp_path):
+    # braid arrangement A3 with only its hyperplanes: not a building set
+    normals = [[1, -1, 0], [1, 0, -1], [0, 1, -1], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    path = tmp_path / "a3.json"
+    path.write_text(json.dumps({
+        "n": 3,
+        "hyperplanes": [{"coeffs": c} for c in normals],
+        "building_set": [[i] for i in range(6)],
+    }))
+    code, out, err = run(capsys, "compute", str(path))
+    assert code == 1 and out == ""
+    assert "not a building set" in err
+
+
 def test_output_roundtrip():
     result = spectrum(resolve_fixture("example-b1"))
     doc = result_to_dict(result)

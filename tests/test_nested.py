@@ -160,3 +160,24 @@ def test_custom_building_set_roundtrip():
 def test_custom_building_set_rejects_non_flats():
     with pytest.raises(ValidationError):
         building_from_closures(THREE_LINES, [[0], [1], [2], [0, 1]])
+
+
+BRAID_A3 = build_lattice(
+    Arrangement.from_normals(3, [(1, -1, 0), (1, 0, -1), (0, 1, -1), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+)
+A3_HYPERPLANES = [[i] for i in range(6)]
+A3_TRIPLE_LINES = [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5]]
+A3_ORIGIN = [list(range(6))]
+
+
+def test_custom_building_set_axiom_enforced():
+    # a triple line is not the direct sum of the hyperplanes through it
+    for closures in (A3_HYPERPLANES, A3_HYPERPLANES + A3_ORIGIN):
+        with pytest.raises(ValidationError, match=r"not a building set.*\[0, 1, 2\]"):
+            building_from_closures(BRAID_A3, closures)
+    # without the origin, the triple lines through it overlap
+    with pytest.raises(ValidationError, match="not a building set"):
+        building_from_closures(BRAID_A3, A3_HYPERPLANES + A3_TRIPLE_LINES)
+    # the irreducible flats form a building set
+    bs = building_from_closures(BRAID_A3, A3_HYPERPLANES + A3_TRIPLE_LINES + A3_ORIGIN)
+    assert bs.size == 11 and bs.zero_flat_included and not bs.is_maximal

@@ -113,6 +113,19 @@ def test_multiplicity_rejects_p_out_of_range(setups):
             multiplicity(setup, 1, p)
 
 
+def test_range_checks_hold_after_the_caches_fill():
+    # the per-k twist cache must not let an out-of-range k through
+    setup = prepare(resolve_fixture("example-b1"))
+    spectrum_from_setup(setup)
+    n, d = setup.n, setup.degree
+    for p in range(n):
+        for k in (0, d + 1):
+            with pytest.raises(ValueError):
+                multiplicity(setup, k, p)
+    with pytest.raises(ValueError):
+        multiplicity(setup, d, n - 1)
+
+
 def test_multiplicity_matches_free_ring_reference(setups):
     # the whole integrand in the free ring, reduced at the very end
     for name, setup in setups.items():
@@ -242,6 +255,16 @@ def test_custom_building_set_equals_maximal_when_complete():
     result = spectrum(arr, building_closures=closures)
     assert pairs(result) == pairs(spectrum(arr))
     assert result.warnings == ()
+
+
+def test_irreducible_building_set_gives_the_maximal_spectrum():
+    # braid arrangement A3: hyperplanes, the four triple lines and the origin
+    arr = Arrangement.from_normals(
+        3, [(1, -1, 0), (1, 0, -1), (0, 1, -1), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    )
+    closures = [[i] for i in range(6)] + [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5]]
+    result = spectrum(arr, building_closures=closures + [list(range(6))])
+    assert pairs(result) == pairs(spectrum(arr))
 
 
 def test_multiplicity_integrality_enforced(setups):
