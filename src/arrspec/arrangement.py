@@ -100,7 +100,7 @@ class Arrangement:
             normal = tuple(as_fraction(c) for c in h.normal)
             if not any(normal):
                 raise ValidationError(f"hyperplanes[{idx}]: normal vector is zero")
-            if not isinstance(h.mult, int) or h.mult < 1:
+            if type(h.mult) is not int or h.mult < 1:
                 raise ValidationError(
                     f"hyperplanes[{idx}]: multiplicity must be a positive integer, got {h.mult!r}"
                 )

@@ -23,7 +23,7 @@ from .arrangement import (
     euler_projective_complement,
 )
 from .checks import run_checks
-from .docio import load_input, render, result_to_dict
+from .docio import load_input, parse_closure_sets, render, result_to_dict
 from .fixtures import fixture_names, resolve_fixture
 from .nested import building_from_closures, maximal_building
 from .spectrum import prepare, spectrum_from_setup
@@ -50,19 +50,14 @@ def _building_option(value: str, file_closures):
         raise ValidationError(
             f"{value}: not valid JSON (line {exc.lineno}, column {exc.colno})"
         ) from None
-    if not (
-        isinstance(raw, list)
-        and all(isinstance(cs, list) and all(isinstance(i, int) for i in cs) for cs in raw)
-    ):
-        raise ValidationError(f"{value}: expected a JSON list of closure sets")
-    return raw
+    return parse_closure_sets(raw, value)
 
 
 def _cmd_compute(args) -> int:
     arrangement, file_closures = _load(args.source)
     closures = _building_option(args.building_set, file_closures)
     setup = prepare(arrangement, closures)
-    result = spectrum_from_setup(setup, jobs=args.jobs)
+    result = spectrum_from_setup(setup)
     checks = None if args.no_checks else run_checks(setup, result)
     if args.json:
         sys.stdout.write(render(result_to_dict(result, checks)))
@@ -142,7 +137,7 @@ def _cmd_verify(args) -> int:
     arrangement, file_closures = _load(args.source)
     closures = _building_option(args.building_set, file_closures)
     setup = prepare(arrangement, closures)
-    result = spectrum_from_setup(setup, jobs=args.jobs)
+    result = spectrum_from_setup(setup)
     checks = run_checks(setup, result)
     ok = all(c.passed for c in checks)
     if args.json:
@@ -178,7 +173,7 @@ def _parser() -> argparse.ArgumentParser:
             "--jobs",
             type=int,
             default=1,
-            help="worker threads for multiplicities (they share the GIL, so no speed-up)",
+            help="accepted for compatibility and ignored (must be at least 1)",
         )
         p.add_argument(
             "--building-set",

@@ -60,30 +60,30 @@ def parse_input(text: str) -> InputDocument:
         if not isinstance(coeffs, list):
             raise ValidationError(f"{where}.coeffs must be a list")
         normal = tuple(_coeff(c, f"{where}.coeffs[{j}]") for j, c in enumerate(coeffs))
-        mult = h.get("mult", 1)
-        if not isinstance(mult, int):
-            raise ValidationError(f"{where}.mult must be an integer")
         extra = set(h) - {"coeffs", "mult"}
         if extra:
             raise ValidationError(f"{where}: unknown fields {', '.join(sorted(extra))}")
-        hps.append(Hyperplane(normal, mult))
+        hps.append(Hyperplane(normal, h.get("mult", 1)))
     arrangement = Arrangement(n, hps)
 
-    closures = None
     building = raw.get("building_set", "maximal")
-    if building != "maximal":
-        if not (
-            isinstance(building, list)
-            and all(
-                isinstance(cs, list) and all(isinstance(i, int) for i in cs)
-                for cs in building
-            )
-        ):
-            raise ValidationError(
-                '"building_set" must be "maximal" or a list of closure sets (lists of hyperplane indices)'
-            )
-        closures = [list(cs) for cs in building]
-    return InputDocument(arrangement, closures)
+    if building == "maximal":
+        return InputDocument(arrangement)
+    return InputDocument(arrangement, parse_closure_sets(building, '"building_set"'))
+
+
+def parse_closure_sets(raw, where: str) -> list[list[int]]:
+    """Explicit closure sets: a list of lists of hyperplane indices (not booleans)."""
+    if not (
+        isinstance(raw, list)
+        and all(
+            isinstance(cs, list) and all(type(i) is int for i in cs) for cs in raw
+        )
+    ):
+        raise ValidationError(
+            f"{where}: expected a list of closure sets (lists of hyperplane indices)"
+        )
+    return [list(cs) for cs in raw]
 
 
 def load_input(path: str) -> InputDocument:

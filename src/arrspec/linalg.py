@@ -17,8 +17,9 @@ class EchelonBasis:
     """Reduced echelon basis of sparse rational vectors.
 
     The pivot of a row is its smallest coordinate.  Rows are kept fully
-    reduced against each other, which makes `reduce` a single ascending
-    pass over the stored pivots.
+    reduced against each other: no row has a nonzero entry at another
+    row's pivot, so `reduce` clears each pivot among the vector's own
+    coordinates once, in any order.
     """
 
     __slots__ = ("rows",)
@@ -39,10 +40,8 @@ class EchelonBasis:
     def reduce(self, vec: SparseVec) -> SparseVec:
         """Normal form of `vec` modulo the row span."""
         out = dict(vec)
-        for p in sorted(self.rows):
-            f = out.get(p)
-            if not f:
-                continue
+        for p in [c for c in vec if c in self.rows]:
+            f = out[p]
             for c, val in self.rows[p].items():
                 nv = out.get(c, 0) - f * val
                 if nv:
@@ -75,6 +74,3 @@ class EchelonBasis:
 
     def contains(self, vec: SparseVec) -> bool:
         return not self.reduce(vec)
-
-    def pivot_set(self) -> frozenset[int]:
-        return frozenset(self.rows)

@@ -117,12 +117,7 @@ class BuildingSet:
 
 def maximal_building(lattice: IntersectionLattice) -> BuildingSet:
     """Building set containing every proper flat."""
-    essential = lattice.is_essential
-    flats = [
-        f for f in lattice.flats if f.codim > 0 and not (essential and f.dim == 0)
-    ]
-    flats.sort(key=lambda f: (f.dim, f.closure))
-    return BuildingSet(lattice, flats, zero_flat_included=essential)
+    return building_from_closures(lattice, (f.closure for f in lattice.flats if f.codim > 0))
 
 
 def building_from_closures(lattice: IntersectionLattice, closure_sets) -> BuildingSet:
@@ -184,13 +179,6 @@ def is_nested(bs: BuildingSet, subset) -> bool:
     set this degenerates to being a chain.
     """
     elems = _check_elements(bs, subset)
-    if len(elems) < 2:
-        return True
-    if bs.is_maximal:
-        for a, b in combinations(elems, 2):
-            if not (bs.leq(a, b) or bs.leq(b, a)):
-                return False
-        return True
     for size in range(2, len(elems) + 1):
         for sub in combinations(elems, size):
             if any(bs.leq(a, b) or bs.leq(b, a) for a, b in combinations(sub, 2)):

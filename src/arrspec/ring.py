@@ -7,15 +7,14 @@ those terms is harmless: the relation ideal is homogeneous and the
 quotient vanishes above the bound, and all reductions happen degree by
 degree.
 
-`IdealPresentation` stores, for each degree, a reduced echelon basis of
-the degree slice of the relation ideal.  There are two families of
-generators:
-
-* products of variables over pairwise-incomparable element sets whose
-  subspace intersection again belongs to the building set;
-* for every nested subset H and every element W strictly below all of H,
-  the product of the H variables times the (dimension-drop)-th power of
-  the sum of the variables at or below W.
+`IdealPresentation` presents the quotient by the relation ideal degree
+by degree.  A monomial whose support (the formal element 0 aside) is not
+a nested set is zero in the quotient, so the columns of each degree are
+only the monomials with nested support, and the ideal is spanned there by
+one family of generators: for every nested subset H and every element W
+strictly below all of H, the product of the H variables times the
+(dimension-drop)-th power of the sum of the variables at or below W.
+Terms of their multiples with non-nested support are dropped.
 
 The top-degree quotient has rank one, so reduction against the top slice
 is a linear functional: each top monomial is a rational multiple of the
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import factorial
 from operator import add
 
@@ -252,7 +251,11 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
 
 @dataclass
 class IdealPresentation:
-    """Per-degree echelon bases of the relation ideal of the resolution ring."""
+    """Per-degree echelon bases of the relation ideal of the resolution ring.
+
+    `monomials[j]` lists the degree-j columns, the monomials with nested
+    support; `spans[j]` is the ideal's degree-j slice in those columns.
+    """
 
     building: BuildingSet
     generators: list[GradedPoly]
@@ -275,9 +278,14 @@ class IdealPresentation:
         return [len(ms) - sp.rank for ms, sp in zip(self.monomials, self.spans)]
 
     def reduce_degree(self, poly: GradedPoly, degree: int) -> SparseVec:
+        """Normal form of the degree part of `poly`; non-nested monomials are zero."""
         index = self.index[degree]
-        vec = {index[m]: c for m, c in poly.graded_part(degree).terms.items()}
+        vec = {index[m]: c for m, c in poly.graded_part(degree).terms.items() if m in index}
         return self.spans[degree].reduce(vec)
+
+    def nested_part(self, poly: GradedPoly) -> GradedPoly:
+        """`poly` without its monomials of non-nested support, which are zero."""
+        return poly._like({m: c for m, c in poly.terms.items() if m in self.index[sum(m)]})
 
     def point_functional(self) -> dict[Monomial, Fraction]:
         """Top monomial -> its multiple of the point class (-c_0)^(n-1).
@@ -304,34 +312,29 @@ class IdealPresentation:
         return self._point
 
 
-def _antichain(bs: BuildingSet, elems) -> bool:
-    return not any(bs.leq(a, b) or bs.leq(b, a) for a, b in combinations(elems, 2))
+def _support(mono: Monomial) -> frozenset[int]:
+    """Variables of positive exponent, the formal element 0 aside."""
+    return frozenset(i for i, e in enumerate(mono) if e and i)
 
 
 def ideal_generators(bs: BuildingSet) -> IdealPresentation:
     """Relation ideal of the building set, presented degree by degree.
 
-    Only generators of total degree up to the truncation bound are
-    emitted; higher ones vanish in the truncated ring and cannot affect
-    any degree slice kept here.
+    The columns of degree j are the degree-j monomials with nested
+    support; every other monomial is zero in the quotient.  Only
+    generators of total degree up to the truncation bound are emitted;
+    higher ones vanish in the truncated ring and cannot affect any degree
+    slice kept here.
     """
     nv = bs.size
     trunc = bs.n - 1
+    nested = enumerate_nested(bs, trunc)
     gens: list[GradedPoly] = []
 
     def var(i: int) -> GradedPoly:
         return GradedPoly.variable(i, nv, trunc)
 
-    for size in range(2, trunc + 1):
-        for elems in combinations(range(1, nv), size):
-            if not _antichain(bs, elems):
-                continue
-            if bs.intersection_element(elems) is None:
-                continue
-            mono = tuple(1 if i in elems else 0 for i in range(nv))
-            gens.append(GradedPoly(nv, trunc, {mono: _ONE}))
-
-    for subset in enumerate_nested(bs, trunc):
+    for subset in nested:
         elems = sorted(subset)
         base = GradedPoly.constant(1, nv, trunc)
         for e in elems:
@@ -348,7 +351,11 @@ def ideal_generators(bs: BuildingSet) -> IdealPresentation:
                     inner = inner + var(wp)
             gens.append(base * inner**drop)
 
-    monomials = [monomials_of_degree(nv, j) for j in range(trunc + 1)]
+    supports = set(nested)
+    monomials = [
+        [m for m in monomials_of_degree(nv, j) if _support(m) in supports]
+        for j in range(trunc + 1)
+    ]
     ideal = IdealPresentation(bs, gens, [EchelonBasis() for _ in range(trunc + 1)], monomials)
     for j, (span, index) in enumerate(zip(ideal.spans, ideal.index)):
         for g in gens:
@@ -356,8 +363,11 @@ def ideal_generators(bs: BuildingSet) -> IdealPresentation:
             if dg > j or not g.terms:
                 continue
             for mono in monomials[j - dg]:
+                # terms with non-nested support are zero and have no column
                 shifted = {
-                    index[tuple(map(add, mono, m))]: c for m, c in g.terms.items()
+                    i: c
+                    for m, c in g.terms.items()
+                    if (i := index.get(tuple(map(add, mono, m)))) is not None
                 }
                 span.insert(shifted)
 

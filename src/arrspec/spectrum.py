@@ -18,7 +18,6 @@ vector of shifts (the shifts themselves once per k), all cached on the
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor
@@ -98,8 +97,7 @@ class SpectrumSetup:
     building: BuildingSet
     ideal: IdealPresentation
     classes: CharClasses
-    # per-cell factors, filled on first use; worker threads may race to fill
-    # an entry, and setdefault makes them all use the first value stored
+    # per-cell factors, filled on first use
     _ch_todd: dict[int, GradedPoly] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -119,10 +117,15 @@ class SpectrumSetup:
         return self.arrangement.degree
 
     def ch_todd(self, q: int) -> GradedPoly:
-        """ch(dual q-th exterior power) * Todd."""
+        """ch(dual q-th exterior power) * Todd, without the monomials that are zero.
+
+        Monomials of non-nested support span an ideal and pair to zero, so
+        they are dropped from both factors before multiplying.
+        """
         got = self._ch_todd.get(q)
         if got is None:
-            got = self._ch_todd.setdefault(q, self.classes.dual_ch[q] * self.classes.todd)
+            nested = self.ideal.nested_part
+            got = self._ch_todd[q] = nested(self.classes.dual_ch[q]) * nested(self.classes.todd)
         return got
 
     def twist(self, k: int) -> GradedPoly:
@@ -136,8 +139,8 @@ class SpectrumSetup:
             key = tuple(a_coeff(bs, v, eig) for v in range(bs.size))
             got = self._twists.get(key)
             if got is None:
-                got = self._twists.setdefault(key, twist_exp(bs, eig))
-            got = self._twist_of_k.setdefault(k, got)
+                got = self._twists[key] = twist_exp(bs, eig)
+            self._twist_of_k[k] = got
         return got
 
 
@@ -195,28 +198,13 @@ class SpectrumResult:
         return [(pt.alpha, pt.mult) for pt in self.points]
 
 
-def spectrum_from_setup(setup: SpectrumSetup, jobs: int = 1) -> SpectrumResult:
+def spectrum_from_setup(setup: SpectrumSetup) -> SpectrumResult:
     n, d = setup.n, setup.degree
-    cells = [
-        (k, p)
-        for k in range(1, d + 1)
-        for p in range(n)
-        if not (k == d and p == n - 1)
-    ]
-
-    def cell(kp: tuple[int, int]) -> int:
-        return multiplicity(setup, kp[0], kp[1])
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(cell, cells))
-    else:
-        values = [cell(kp) for kp in cells]
-
     points = [
         SpectralPoint(Fraction(k, d) + p, m, k, p)
-        for (k, p), m in zip(cells, values)
-        if m
+        for k in range(1, d + 1)
+        for p in range(n)
+        if not (k == d and p == n - 1) and (m := multiplicity(setup, k, p))
     ]
     points.sort(key=lambda pt: pt.alpha)
 
@@ -231,6 +219,6 @@ def spectrum_from_setup(setup: SpectrumSetup, jobs: int = 1) -> SpectrumResult:
     return SpectrumResult(d, tuple(points), tuple(warnings))
 
 
-def spectrum(arrangement: Arrangement, building_closures=None, jobs: int = 1) -> SpectrumResult:
+def spectrum(arrangement: Arrangement, building_closures=None) -> SpectrumResult:
     """Hodge spectrum of the arrangement, sorted by exponent."""
-    return spectrum_from_setup(prepare(arrangement, building_closures), jobs=jobs)
+    return spectrum_from_setup(prepare(arrangement, building_closures))

@@ -51,6 +51,12 @@ def test_rejects_bad_multiplicity():
         Arrangement(2, [Hyperplane((Fraction(1), Fraction(0)), 0)])
 
 
+def test_rejects_boolean_multiplicity():
+    # bool is an int subclass; True must not pass as multiplicity 1
+    with pytest.raises(ValidationError, match="multiplicity"):
+        Arrangement(2, [Hyperplane((Fraction(1), Fraction(0)), True)])
+
+
 def test_proportional_normals_ask_for_merge():
     with pytest.raises(ValidationError, match="merge"):
         Arrangement.from_normals(2, [(1, 0), (2, 0)])

@@ -196,6 +196,35 @@ def test_invalid_building_set_exits_1(capsys, tmp_path):
     assert "not a building set" in err
 
 
+def test_boolean_multiplicity_exits_1(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({
+        "n": 2,
+        "hyperplanes": [{"coeffs": [1, 0], "mult": True}, {"coeffs": [0, 1]}, {"coeffs": [1, 1]}],
+    }))
+    code, out, err = run(capsys, "compute", str(path))
+    assert code == 1 and out == ""
+    assert "multiplicity" in err
+
+
+def test_boolean_closure_index_exits_1(capsys, tmp_path):
+    # [true] would otherwise be read as hyperplane 1 and give a valid building set
+    closures = [[0], [True], [2], [0, 1, 2]]
+    normals = [[1, 0], [0, 1], [1, 1]]
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({
+        "n": 2, "hyperplanes": [{"coeffs": c} for c in normals], "building_set": closures,
+    }))
+    code, out, err = run(capsys, "compute", str(doc))
+    assert code == 1 and out == ""
+    assert "closure sets" in err
+    building = tmp_path / "building.json"
+    building.write_text(json.dumps(closures))
+    code, out, err = run(capsys, "compute", "example-a", "--building-set", str(building))
+    assert code == 1 and out == ""
+    assert "closure sets" in err
+
+
 def test_output_roundtrip():
     result = spectrum(resolve_fixture("example-b1"))
     doc = result_to_dict(result)

@@ -2,13 +2,20 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrspec import (
     Arrangement,
     GradedPoly,
     build_lattice,
+    building_from_closures,
+    d_value,
+    enumerate_nested,
     ideal_generators,
     ideal_membership,
     maximal_building,
@@ -17,6 +24,7 @@ from arrspec import (
     prepare,
     reduce_top,
 )
+from arrspec.linalg import EchelonBasis
 
 
 def P(nvars, trunc, terms=None):
@@ -218,3 +226,110 @@ def test_top_degree_quotient_is_a_line():
     bs = maximal_building(build_lattice(Arrangement.from_normals(2, [(1, 0), (0, 1)])))
     ideal = ideal_generators(bs)
     assert ideal.quotient_ranks[-1] == 1
+
+
+# The reference presentation: every monomial is a column, and the ideal is
+# spanned by all multiples of two generator families, the products over
+# antichains whose intersection is a building element (non-nested
+# supports) and the nested-set generators.
+
+
+def reference_presentation(bs):
+    """(columns, echelon spans) of the relation ideal in the free truncated ring."""
+    nv, trunc = bs.size, bs.n - 1
+
+    def comparable(a, b):
+        return bs.leq(a, b) or bs.leq(b, a)
+
+    gens = []
+    for size in range(2, trunc + 1):
+        for elems in combinations(range(1, nv), size):
+            if any(comparable(a, b) for a, b in combinations(elems, 2)):
+                continue
+            if bs.intersection_element(elems) is not None:
+                gens.append({tuple(int(i in elems) for i in range(nv)): 1})
+    for subset in enumerate_nested(bs, trunc):
+        base = P(nv, trunc, {tuple(int(i in subset) for i in range(nv)): 1})
+        for w in range(nv):
+            if not all(bs.lt(w, v) for v in subset):
+                continue
+            drop = d_value(bs, subset, w)
+            if len(subset) + drop <= trunc:
+                below = sum((var(i, nv, trunc) for i in range(nv) if bs.leq(i, w)), P(nv, trunc))
+                gens.append((base * below**drop).terms)
+    columns = [monomials_of_degree(nv, j) for j in range(trunc + 1)]
+    spans = [EchelonBasis() for _ in columns]
+    for j, (monos, span) in enumerate(zip(columns, spans)):
+        index = {m: i for i, m in enumerate(monos)}
+        for g in gens:
+            dg = sum(next(iter(g)))
+            for shift in columns[j - dg] if dg <= j else ():
+                span.insert({index[tuple(map(add, shift, m))]: c for m, c in g.items()})
+    return columns, spans
+
+
+def assert_matches_reference(bs):
+    ideal = ideal_generators(bs)
+    columns, spans = reference_presentation(bs)
+    nv, trunc = bs.size, bs.n - 1
+    assert ideal.quotient_ranks == [len(ms) - sp.rank for ms, sp in zip(columns, spans)]
+    # the top residue of each monomial, in units of the point class (-c_0)^trunc
+    top = columns[trunc]
+    residues = [spans[trunc].reduce({i: 1}) for i in range(len(top))]
+    free = set().union(*residues)
+    assert len(free) == 1
+    (f,) = free
+    unit = residues[top.index((trunc,) + (0,) * (nv - 1))][f] * (-1) ** trunc
+    for mono, res in zip(top, residues):
+        assert reduce_top(P(nv, trunc, {mono: 1}), ideal) == res.get(f, 0) / unit, mono
+    nested = set(enumerate_nested(bs, trunc))
+    for j, (monos, span) in enumerate(zip(columns, spans)):
+        for i, mono in enumerate(monos):
+            member = ideal_membership(P(nv, trunc, {mono: 1}), ideal)
+            assert member == (not span.reduce({i: 1})), mono
+            if frozenset(e for e, x in enumerate(mono) if x and e) not in nested:
+                assert member, mono
+
+
+def test_presentation_matches_reference_on_fixtures(setups):
+    for setup in setups.values():
+        assert_matches_reference(setup.building)
+
+
+TERNARY = {
+    n: [v for v in product((-1, 0, 1), repeat=n) if any(v) and next(c for c in v if c) == 1]
+    for n in (3, 4)
+}
+
+
+def building_closure(lattice, chosen):
+    """The closure sets of `chosen` plus every hyperplane, completed to a building set.
+
+    Going up by codimension, a flat that the listed flats below it do not
+    already decompose is added; flats of larger codimension never change
+    the decomposition of a smaller one.
+    """
+    listed = set(chosen) | {f.closure for f in lattice.hyperplane_flats()}
+    for x in sorted((f for f in lattice.flats if f.codim > 0), key=lambda f: f.codim):
+        below = [f for f in lattice.flats if f.closure in listed and set(f.closure) <= set(x.closure)]
+        factors = sum(
+            f.codim for f in below if not any(set(f.closure) < set(g.closure) for g in below)
+        )
+        if factors != x.codim:
+            listed.add(x.closure)
+    return [list(c) for c in sorted(listed)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_presentation_matches_reference_on_random_building_sets(data):
+    # four normals at most in C^4 keep the free-ring reference fast
+    n = data.draw(st.sampled_from([3, 4]))
+    normals = data.draw(
+        st.lists(st.sampled_from(TERNARY[n]), min_size=3, max_size=6 if n == 3 else 4, unique=True)
+    )
+    lattice = build_lattice(Arrangement.from_normals(n, normals))
+    assert_matches_reference(maximal_building(lattice))
+    proper = [f.closure for f in lattice.flats if f.codim > 1]
+    chosen = data.draw(st.lists(st.sampled_from(proper), unique=True)) if proper else []
+    assert_matches_reference(building_from_closures(lattice, building_closure(lattice, chosen)))

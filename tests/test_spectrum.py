@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 
 import pytest
@@ -140,18 +139,6 @@ def test_multiplicity_matches_free_ring_reference(setups):
                 assert multiplicity(setup, k, p) == want, (name, k, p)
 
 
-def test_threads_share_fresh_caches():
-    # many threads fill the per-cell caches of a fresh setup at once
-    want = spectrum_from_setup(prepare(resolve_fixture("generic3d:5")))
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = spectrum_from_setup(prepare(resolve_fixture("generic3d:5")), jobs=8)
-    finally:
-        sys.setswitchinterval(old)
-    assert got == want
-
-
 def test_three_lines_spectrum(results):
     assert pairs(results["example-a"]) == [
         (Fraction(2, 3), 1),
@@ -242,11 +229,6 @@ def test_spectrum_invariant_under_relabeling():
     base = spectrum(arr)
     for perm in ([3, 2, 1, 0], [1, 3, 0, 2]):
         assert spectrum(arr.permuted(perm)) == base
-
-
-def test_jobs_do_not_change_the_result(setups):
-    setup = setups["example-b1"]
-    assert spectrum_from_setup(setup, jobs=8) == spectrum_from_setup(setup, jobs=1)
 
 
 def test_custom_building_set_equals_maximal_when_complete():
