@@ -20,11 +20,17 @@ powers of the dual log forms follow from the lambda-ring Newton identity
 
 where the Adams operation psi^j scales the degree-i part by j^i.
 
+Given the relation ideal, `char_classes` runs the same code in the
+quotient ring: every product is a normal form, so a root's power x^k is
+the normal form of x^(k-1) * x, and the sparse roots are rewritten only
+in their sum P_1.
+
 `ch_dual_exterior_roots` is kept as an independent route to the same
 Chern characters: it expands the exponential sums over formal roots,
 rewrites them in elementary symmetric functions and substitutes the
-graded parts of the log Chern class.  The two must agree as free-ring
-polynomials; the verification harness compares them term by term.
+graded parts of the log Chern class.  The two agree as free-ring
+polynomials, so their normal forms agree as well; the verification
+harness compares the normal forms term by term.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from operator import mul
 
 from .arrangement import StructureError
 from .nested import BuildingSet
-from .ring import GradedPoly
+from .ring import GradedPoly, IdealPresentation
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -104,7 +110,7 @@ def tangent_roots(bs: BuildingSet) -> list[tuple[int, GradedPoly]]:
     return roots
 
 
-def _power_sums(roots: list[tuple[int, GradedPoly]], bs: BuildingSet) -> list[GradedPoly]:
+def _power_sums(roots: list[tuple[int, GradedPoly]], bs: BuildingSet, mul) -> list[GradedPoly]:
     """P_k = sum of m * x^k over the roots, for k = 0 .. n-1 (P_0 is left zero)."""
     trunc = bs.n - 1
     sums = [GradedPoly.zero(bs.size, trunc) for _ in range(trunc + 1)]
@@ -112,7 +118,7 @@ def _power_sums(roots: list[tuple[int, GradedPoly]], bs: BuildingSet) -> list[Gr
         power = x * m
         for k in range(1, trunc + 1):
             sums[k] = sums[k] + power
-            power = power * x
+            power = mul(power, x)
     return sums
 
 
@@ -132,18 +138,26 @@ class CharClasses:
     dual_ch: tuple[GradedPoly, ...]
 
 
-def char_classes(bs: BuildingSet) -> CharClasses:
-    """Every class of the spectrum formula, from the virtual tangent roots."""
+def char_classes(bs: BuildingSet, ideal: IdealPresentation | None = None) -> CharClasses:
+    """Every class of the spectrum formula, from the virtual tangent roots.
+
+    Free-ring polynomials, or normal forms in the quotient by `ideal`.
+    """
     nv, trunc = bs.size, bs.n - 1
-    tangent = _power_sums(tangent_roots(bs), bs)
+    roots = tangent_roots(bs)
     boundary = [(-1, GradedPoly.variable(v, nv, trunc)) for v in range(1, nv)]
-    dual_log = [a + b for a, b in zip(tangent, _power_sums(boundary, bs))]
+    mul = GradedPoly.__mul__ if ideal is None else ideal.mul
+    tangent = _power_sums(roots, bs, mul)
+    dual_log = [a + b for a, b in zip(tangent, _power_sums(boundary, bs, mul))]
+    if ideal is not None:
+        # P_1 is a sum of the roots themselves; every other P_k is a sum of products
+        tangent[1], dual_log[1] = ideal.normal_form(tangent[1]), ideal.normal_form(dual_log[1])
 
     log_one_plus_x = series_log([_ONE, _ONE] + [_ZERO] * (trunc - 1))
-    total = _root_sum(log_one_plus_x, tangent).exp()
-    todd = _root_sum(series_log(q_series(trunc)), tangent).exp()
+    total = _root_sum(log_one_plus_x, tangent).exp(mul)
+    todd = _root_sum(series_log(q_series(trunc)), tangent).exp(mul)
     # the log forms are the dual: every root changes sign
-    log_chern = _root_sum(log_one_plus_x, dual_log).exp().adams(-1)
+    log_chern = _root_sum(log_one_plus_x, dual_log).exp(mul).adams(-1)
 
     ch = _root_sum([Fraction(1, factorial(k)) for k in range(bs.n)], dual_log) + trunc
     # lambda^p = (1/p) * sum_j (-1)^(j-1) * psi^j(ch) * lambda^(p-j)
@@ -151,7 +165,7 @@ def char_classes(bs: BuildingSet) -> CharClasses:
     dual_ch = [GradedPoly.constant(1, nv, trunc)]
     for p in range(1, bs.n):
         acc = sum(
-            (psi[j] * dual_ch[p - j] * (-1) ** (j - 1) for j in range(1, p + 1)),
+            (mul(psi[j], dual_ch[p - j]) * (-1) ** (j - 1) for j in range(1, p + 1)),
             GradedPoly.zero(nv, trunc),
         )
         dual_ch.append(acc * Fraction(1, p))
@@ -165,8 +179,8 @@ def ch_dual_exterior_roots(bs: BuildingSet, p: int, log_chern: GradedPoly) -> Gr
     formal roots, rewrites the symmetric result in the elementary basis
     by stripping lexicographically leading terms, and substitutes the
     graded parts of `log_chern` for the elementary symmetric functions.
-    Kept as an independent check of `char_classes`; the two must be equal
-    in the free truncated ring.
+    Kept as an independent check of `char_classes`; the two are equal in
+    the free truncated ring, and so are their normal forms.
     """
     nv, m = bs.size, bs.n - 1
     roots = [GradedPoly.variable(i, m, m) for i in range(m)]

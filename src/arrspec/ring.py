@@ -16,6 +16,11 @@ strictly below all of H, the product of the H variables times the
 (dimension-drop)-th power of the sum of the variables at or below W.
 Terms of their multiples with non-nested support are dropped.
 
+The quotient's basis is the standard monomials, the columns without a
+pivot.  `normal_form` rewrites a polynomial monomial by monomial from a
+per-ideal memo, and `mul` rewrites the truncated product of two normal
+forms the same way, so the memo holds the ring's structure constants.
+
 The top-degree quotient has rank one, so reduction against the top slice
 is a linear functional: each top monomial is a rational multiple of the
 class of a point.  `point_functional` tabulates those multiples once;
@@ -32,7 +37,7 @@ from math import factorial
 from operator import add
 
 from .arrangement import StructureError
-from .linalg import EchelonBasis, SparseVec
+from .linalg import EchelonBasis
 from .nested import BuildingSet, d_value, enumerate_nested
 
 _ZERO = Fraction(0)
@@ -51,6 +56,8 @@ class GradedPoly:
         self.trunc = trunc
         clean: dict[Monomial, Fraction] = {}
         for mono, coeff in (terms or {}).items():
+            if len(mono) != nvars:
+                raise ValueError(f"monomial {mono!r} does not have {nvars} exponents")
             c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
             if c and sum(mono) <= trunc:
                 clean[mono] = c
@@ -68,6 +75,8 @@ class GradedPoly:
 
     @classmethod
     def variable(cls, i: int, nvars: int, trunc: int) -> "GradedPoly":
+        if not 0 <= i < nvars:
+            raise ValueError(f"variable index {i} out of range 0..{nvars - 1}")
         mono = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(nvars, trunc, {mono: _ONE})
 
@@ -182,14 +191,19 @@ class GradedPoly:
             out = out + power
         return out
 
-    def exp(self) -> "GradedPoly":
-        """Truncated exponential; requires zero constant term."""
+    def exp(self, mul=None) -> "GradedPoly":
+        """Truncated exponential; requires zero constant term.
+
+        `mul` multiplies the powers: free by default, `IdealPresentation.mul`
+        in the quotient.
+        """
         if self.constant_term:
             raise ValueError("exp needs a zero constant term")
+        mul = mul or GradedPoly.__mul__
         out = GradedPoly.constant(1, self.nvars, self.trunc)
         power = GradedPoly.constant(1, self.nvars, self.trunc)
         for k in range(1, self.trunc + 1):
-            power = power * self
+            power = mul(power, self)
             if not power.terms:
                 break
             out = out + power * Fraction(1, factorial(k))
@@ -255,6 +269,8 @@ class IdealPresentation:
 
     `monomials[j]` lists the degree-j columns, the monomials with nested
     support; `spans[j]` is the ideal's degree-j slice in those columns.
+    The columns without a pivot are the standard monomials, a basis of
+    the quotient.
     """
 
     building: BuildingSet
@@ -264,6 +280,10 @@ class IdealPresentation:
     index: list[dict[Monomial, int]] = field(init=False, repr=False)
     _point: dict[Monomial, Fraction] | None = field(
         default=None, init=False, repr=False, compare=False
+    )
+    # monomial -> its normal form, as (standard monomial, coefficient) pairs
+    _forms: dict[Monomial, tuple[tuple[Monomial, Fraction], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -277,38 +297,56 @@ class IdealPresentation:
     def quotient_ranks(self) -> list[int]:
         return [len(ms) - sp.rank for ms, sp in zip(self.monomials, self.spans)]
 
-    def reduce_degree(self, poly: GradedPoly, degree: int) -> SparseVec:
-        """Normal form of the degree part of `poly`; non-nested monomials are zero."""
-        index = self.index[degree]
-        vec = {index[m]: c for m, c in poly.graded_part(degree).terms.items() if m in index}
-        return self.spans[degree].reduce(vec)
+    def _form(self, mono: Monomial) -> tuple[tuple[Monomial, Fraction], ...]:
+        """Normal form of one monomial, memoized: zero if not nested, itself
+        if standard, else minus the rest of its reduced row (all standard)."""
+        got = self._forms.get(mono)
+        if got is None:
+            j = sum(mono)
+            i = self.index[j].get(mono)
+            row = None if i is None else self.spans[j].rows.get(i)
+            if row is not None:
+                monos = self.monomials[j]
+                got = tuple((monos[c], -v) for c, v in row.items() if c != i)
+            else:
+                got = () if i is None else ((mono, _ONE),)
+            self._forms[mono] = got
+        return got
 
-    def nested_part(self, poly: GradedPoly) -> GradedPoly:
-        """`poly` without its monomials of non-nested support, which are zero."""
-        return poly._like({m: c for m, c in poly.terms.items() if m in self.index[sum(m)]})
+    def normal_form(self, poly: GradedPoly) -> GradedPoly:
+        """`poly` modulo the ideal, written over the standard monomials."""
+        _check_ring(poly, self)
+        out: dict[Monomial, Fraction] = {}
+        for mono, c in poly.terms.items():
+            for std, v in self._form(mono):
+                nv = out.get(std, _ZERO) + c * v
+                if nv:
+                    out[std] = nv
+                else:
+                    del out[std]
+        return poly._like(out)
+
+    def mul(self, a: GradedPoly, b: GradedPoly) -> GradedPoly:
+        """Normal form of `a * b`: the truncated product, rewritten by the memo."""
+        return self.normal_form(a * b)
 
     def point_functional(self) -> dict[Monomial, Fraction]:
         """Top monomial -> its multiple of the point class (-c_0)^(n-1).
 
-        Monomials that reduce to zero are left out.  With a rank-one top
-        quotient the reduced echelon rows leave one free monomial f, and
-        the row with pivot m reads m + r*f, so m reduces to -r times f.
+        With a rank-one top quotient every top normal form is a multiple
+        of the one standard top monomial.  Monomials that reduce to zero
+        are left out.
         """
         if self._point is None:
             top = self.trunc
-            rows = self.spans[top].rows
-            monos = self.monomials[top]
-            free = [i for i in range(len(monos)) if i not in rows]
-            if len(free) != 1 or any(row.keys() - {p, free[0]} for p, row in rows.items()):
+            if self.quotient_ranks[top] != 1:
                 raise StructureError("top residue is not a multiple of the point class")
-            f = free[0]
-            residue = {p: -row.get(f, _ZERO) for p, row in rows.items()}
-            residue[f] = _ONE
-            point = self.index[top][(top,) + (0,) * (self.building.size - 1)]
-            unit = residue[point] * (-1) ** top
-            if not unit:
+            point = self._form((top,) + (0,) * (self.building.size - 1))
+            if not point:
                 raise StructureError("the class of a point reduces to zero")
-            self._point = {monos[i]: v / unit for i, v in residue.items() if v}
+            unit = point[0][1] * (-1) ** top
+            forms = ((m, self._form(m)) for m in self.monomials[top])
+            self._point = {m: form[0][1] / unit for m, form in forms if form}
         return self._point
 
 
@@ -411,8 +449,5 @@ def pair_top(a: GradedPoly, b: GradedPoly, ideal: IdealPresentation) -> Fraction
 
 
 def ideal_membership(poly: GradedPoly, ideal: IdealPresentation) -> bool:
-    """Whether every graded part of `poly` reduces to zero."""
-    _check_ring(poly, ideal)
-    return all(
-        not ideal.reduce_degree(poly, j) for j in range(ideal.trunc + 1)
-    )
+    """Whether `poly` lies in the ideal: its normal form is zero."""
+    return not ideal.normal_form(poly).terms

@@ -10,10 +10,12 @@ per building-set element.  Each candidate exponent alpha = k/d + p with
 evaluated against the class of a point.  Nonzero multiplicities form the
 spectrum; every candidate is an exact integer, which is asserted.
 
-Only the top-degree part of the integrand is ever formed: the product
-ch * Todd is computed once per p and the exponential once per distinct
-vector of shifts (the shifts themselves once per k), all cached on the
-`SpectrumSetup`, and each cell pairs the two with `pair_top`.
+Every class lives in the quotient ring, as a normal form over its
+standard monomials: the product ch * Todd is computed once per p and the
+exponential once per distinct vector of shifts, both cached on the
+`SpectrumSetup`, and each cell pairs the two with `pair_top`, forming
+only the top-degree part of their product.  The shifts are computed in
+integers, once per k and p.
 """
 
 from __future__ import annotations
@@ -65,15 +67,16 @@ def a_coeff(bs: BuildingSet, elem: int, eig: EigenData) -> int:
     return bs.codims[elem] - floor(s_value(bs, elem, eig)) - 1 + bump
 
 
+def _linear_form(coeffs, bs: BuildingSet) -> GradedPoly:
+    """The divisor sum of coeffs[v] * c_v, as a degree-1 polynomial."""
+    nv = bs.size
+    units = {tuple(int(j == v) for j in range(nv)): a for v, a in enumerate(coeffs) if a}
+    return GradedPoly(nv, bs.n - 1, units)
+
+
 def twist_exp(bs: BuildingSet, eig: EigenData) -> GradedPoly:
-    """exp of the divisor with the integer twist coefficients."""
-    nv, trunc = bs.size, bs.n - 1
-    lin = GradedPoly.zero(nv, trunc)
-    for v in range(nv):
-        a = a_coeff(bs, v, eig)
-        if a:
-            lin = lin + GradedPoly.variable(v, nv, trunc) * a
-    return lin.exp()
+    """exp of the divisor with the integer twist coefficients, in the free ring."""
+    return _linear_form([a_coeff(bs, v, eig) for v in range(bs.size)], bs).exp()
 
 
 def _check_p(p: int, n: int) -> None:
@@ -90,21 +93,23 @@ def r_alpha(classes: CharClasses, eig: EigenData, p: int) -> GradedPoly:
 
 @dataclass
 class SpectrumSetup:
-    """Everything derived from the arrangement that the formula consumes."""
+    """Everything derived from the arrangement that the formula consumes.
+
+    The spectrum reads only the `quotient` classes; the free-ring
+    `classes` are computed on first access.
+    """
 
     arrangement: Arrangement
     lattice: IntersectionLattice
     building: BuildingSet
     ideal: IdealPresentation
-    classes: CharClasses
+    quotient: CharClasses
+    _classes: CharClasses | None = field(default=None, init=False, repr=False, compare=False)
     # per-cell factors, filled on first use
     _ch_todd: dict[int, GradedPoly] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _twists: dict[tuple[int, ...], GradedPoly] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _twist_of_k: dict[int, GradedPoly] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -116,31 +121,45 @@ class SpectrumSetup:
     def degree(self) -> int:
         return self.arrangement.degree
 
-    def ch_todd(self, q: int) -> GradedPoly:
-        """ch(dual q-th exterior power) * Todd, without the monomials that are zero.
+    @property
+    def classes(self) -> CharClasses:
+        """The characteristic classes as free-ring polynomials."""
+        if self._classes is None:
+            self._classes = char_classes(self.building)
+        return self._classes
 
-        Monomials of non-nested support span an ideal and pair to zero, so
-        they are dropped from both factors before multiplying.
-        """
+    def ch_todd(self, q: int) -> GradedPoly:
+        """ch(dual q-th exterior power) * Todd in the quotient, computed once per q."""
         got = self._ch_todd.get(q)
         if got is None:
-            nested = self.ideal.nested_part
-            got = self._ch_todd[q] = nested(self.classes.dual_ch[q]) * nested(self.classes.todd)
+            cl = self.quotient
+            got = self._ch_todd[q] = self.ideal.mul(cl.dual_ch[q], cl.todd)
         return got
 
+    def twist_key(self, k: int) -> tuple[int, ...]:
+        """`a_coeff` of every element for the k-th eigenvalue, in integers.
+
+        With r_i = (-k * m_i) mod d, floor(s_v) is (sum of r_i over v) // d.
+        Raises ValueError for k outside 1..degree.
+        """
+        d, bs = self.degree, self.building
+        if not 1 <= k <= d:
+            raise ValueError(f"eigenvalue index {k} out of range 1..{d}")
+        r = [(-k * h.mult) % d for h in self.arrangement.hyperplanes]
+        return (bs.n - sum(r) // d,) + tuple(
+            bs.codims[v] - sum(r[i] for i in bs.closures[v]) // d - 1 for v in range(1, bs.size)
+        )
+
     def twist(self, k: int) -> GradedPoly:
-        """`twist_exp` of the k-th eigenvalue, computed once per vector of twist coefficients.
+        """`twist_exp` of the k-th eigenvalue in the quotient, computed once per twist vector.
 
         Raises ValueError for k outside 1..degree.
         """
-        got = self._twist_of_k.get(k)
+        key = self.twist_key(k)
+        got = self._twists.get(key)
         if got is None:
-            bs, eig = self.building, beta(self.arrangement, k)
-            key = tuple(a_coeff(bs, v, eig) for v in range(bs.size))
-            got = self._twists.get(key)
-            if got is None:
-                got = self._twists[key] = twist_exp(bs, eig)
-            self._twist_of_k[k] = got
+            lin = _linear_form(key, self.building)
+            got = self._twists[key] = lin.exp(self.ideal.mul)
         return got
 
 
@@ -151,8 +170,7 @@ def prepare(arrangement: Arrangement, building_closures=None) -> SpectrumSetup:
     else:
         bs = building_from_closures(lattice, building_closures)
     ideal = ideal_generators(bs)
-    classes = char_classes(bs)
-    return SpectrumSetup(arrangement, lattice, bs, ideal, classes)
+    return SpectrumSetup(arrangement, lattice, bs, ideal, char_classes(bs, ideal))
 
 
 def multiplicity(setup: SpectrumSetup, k: int, p: int) -> int:
@@ -171,7 +189,7 @@ def multiplicity(setup: SpectrumSetup, k: int, p: int) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralPoint:
     """One spectrum entry: exponent, multiplicity, and its (k, p) provenance."""
 

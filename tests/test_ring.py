@@ -333,3 +333,16 @@ def test_presentation_matches_reference_on_random_building_sets(data):
     proper = [f.closure for f in lattice.flats if f.codim > 1]
     chosen = data.draw(st.lists(st.sampled_from(proper), unique=True)) if proper else []
     assert_matches_reference(building_from_closures(lattice, building_closure(lattice, chosen)))
+
+
+def test_variable_index_out_of_range_rejected():
+    for i in (5, 3, -1):
+        with pytest.raises(ValueError):
+            GradedPoly.variable(i, 3, 2)
+
+
+def test_monomial_of_wrong_length_rejected():
+    with pytest.raises(ValueError):
+        P(3, 2, {(1, 0): 1})
+    with pytest.raises(ValueError):
+        P(3, 2, {(1, 0, 0, 0): 1})

@@ -303,3 +303,25 @@ def test_weighted_plane_arrangements_keep_euler_sums(lines, mults):
     # reduced total: the classical Milnor number
     if all(h.mult == 1 for h in arr.hyperplanes):
         assert sum(pt.mult for pt in result.points) == (d - 1) ** 2
+
+
+def test_integer_twist_key_matches_fraction_coefficients(setups):
+    for name, setup in setups.items():
+        bs = setup.building
+        for k in range(1, setup.degree + 1):
+            eig = beta(setup.arrangement, k)
+            want = tuple(a_coeff(bs, v, eig) for v in range(bs.size))
+            assert setup.twist_key(k) == want, (name, k)
+        for k in (0, setup.degree + 1):
+            with pytest.raises(ValueError):
+                setup.twist_key(k)
+
+
+def test_non_integral_multiplicity_raises_structure_error():
+    # halve the cached ch * Todd factor of the exponent 2/3 (k = 2, p = 0)
+    setup = prepare(resolve_fixture("example-a"))
+    q = setup.n - 1
+    assert multiplicity(setup, 2, 0) == 1
+    setup._ch_todd[q] = setup.ch_todd(q) * Fraction(1, 2)
+    with pytest.raises(StructureError):
+        multiplicity(setup, 2, 0)
