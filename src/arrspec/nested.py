@@ -30,6 +30,7 @@ class BuildingSet:
         "zero_flat_included",
         "is_maximal",
         "_flat_elem",
+        "_sets",
     )
 
     def __init__(self, lattice: IntersectionLattice, flats, zero_flat_included: bool) -> None:
@@ -39,6 +40,8 @@ class BuildingSet:
         self.dims = (0,) + tuple(f.dim for f in self.flats)
         self.codims = (n,) + tuple(f.codim for f in self.flats)
         self.closures = (None,) + tuple(f.closure for f in self.flats)
+        # closures as sets, so containment is one subset test
+        self._sets = (None,) + tuple(frozenset(c) for c in self.closures[1:])
         self.zero_flat_included = zero_flat_included
         self._flat_elem = {f.closure: i + 1 for i, f in enumerate(self.flats)}
         proper = [
@@ -64,13 +67,9 @@ class BuildingSet:
 
     def leq(self, a: int, b: int) -> bool:
         """Containment of elements: a <= b as subspaces, 0 below everything."""
-        if a == b:
+        if a == b or a == 0:
             return True
-        if a == 0:
-            return True
-        if b == 0:
-            return False
-        return set(self.closures[b]) <= set(self.closures[a])
+        return b != 0 and self._sets[b] <= self._sets[a]
 
     def lt(self, a: int, b: int) -> bool:
         return a != b and self.leq(a, b)
@@ -89,22 +88,17 @@ class BuildingSet:
         elems = list(elems)
         if not elems:
             return self.n
-        union: set[int] = set()
-        for e in elems:
-            if e == 0:
-                return 0
-            union.update(self.closures[e])
-        _, rank = self.lattice.closure_of(union)
+        if 0 in elems:
+            return 0
+        _, rank = self.lattice.closure_of(frozenset().union(*(self._sets[e] for e in elems)))
         return self.n - rank
 
     def intersection_element(self, elems) -> int | None:
         """Element of the building set equal to the intersection, None if absent."""
-        union: set[int] = set()
-        for e in elems:
-            if e == 0:
-                return 0 if self.zero_flat_included else None
-            union.update(self.closures[e])
-        closure, rank = self.lattice.closure_of(union)
+        elems = list(elems)
+        if 0 in elems:
+            return 0 if self.zero_flat_included else None
+        closure, _ = self.lattice.closure_of(frozenset().union(*(self._sets[e] for e in elems)))
         flat = self.lattice.flat_by_closure(closure)
         if flat is None or flat.codim == 0:
             return None
@@ -192,23 +186,23 @@ def enumerate_nested(bs: BuildingSet, max_size: int) -> list[frozenset[int]]:
     """All nested subsets of the positive-index elements, up to `max_size`.
 
     Depth-first: nestedness is closed under taking subsets, so a branch
-    dies as soon as one extension fails.
+    dies as soon as one extension fails.  (An explicit stack, not a
+    recursive closure: a closure that calls itself is a reference cycle,
+    which would keep the whole lattice alive until the cyclic collector
+    runs.)
     """
     if max_size > bs.n - 1:
         raise ValueError(f"max_size {max_size} exceeds the ambient bound {bs.n - 1}")
     out: list[frozenset[int]] = [frozenset()]
-    if max_size <= 0:
-        return out
-
-    def grow(current: tuple[int, ...], start: int) -> None:
+    stack: list[tuple[tuple[int, ...], int]] = [((), 1)] if max_size > 0 else []
+    while stack:
+        current, start = stack.pop()
         for j in range(start, bs.size):
             cand = current + (j,)
             if is_nested(bs, cand):
                 out.append(frozenset(cand))
                 if len(cand) < max_size:
-                    grow(cand, j + 1)
-
-    grow((), 1)
+                    stack.append((cand, j + 1))
     out.sort(key=lambda s: (len(s), sorted(s)))
     return out
 

@@ -7,19 +7,13 @@ those terms is harmless: the relation ideal is homogeneous and the
 quotient vanishes above the bound, and all reductions happen degree by
 degree.
 
-`IdealPresentation` presents the quotient by the relation ideal degree
-by degree.  A monomial whose support (the formal element 0 aside) is not
-a nested set is zero in the quotient, so the columns of each degree are
-only the monomials with nested support, and the ideal is spanned there by
-one family of generators: for every nested subset H and every element W
-strictly below all of H, the product of the H variables times the
-(dimension-drop)-th power of the sum of the variables at or below W.
-Terms of their multiples with non-nested support are dropped.
-
-The quotient's basis is the standard monomials, the columns without a
-pivot.  `normal_form` rewrites a polynomial monomial by monomial from a
-per-ideal memo, and `mul` rewrites the truncated product of two normal
-forms the same way, so the memo holds the ring's structure constants.
+`IdealPresentation` presents the quotient by the relation ideal through
+its Feichtner-Yuzvinsky normal form: the standard monomials, a basis of
+the quotient, are known in closed form, and a monomial's normal form
+comes from rewriting leading terms, with no elimination.  `normal_form`
+rewrites a polynomial monomial by monomial from a per-ideal memo, and
+`mul` rewrites the truncated product of two normal forms the same way,
+so the memo holds the ring's structure constants.
 
 The top-degree quotient has rank one, so reduction against the top slice
 is a linear functional: each top monomial is a rational multiple of the
@@ -30,14 +24,12 @@ product the same way while forming only its top-degree terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
 from operator import add
 
 from .arrangement import StructureError
-from .linalg import EchelonBasis
 from .nested import BuildingSet, d_value, enumerate_nested
 
 _ZERO = Fraction(0)
@@ -263,55 +255,122 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
     return out
 
 
-@dataclass
 class IdealPresentation:
-    """Per-degree echelon bases of the relation ideal of the resolution ring.
+    """The relation ideal of the resolution ring, presented by its normal form.
 
-    `monomials[j]` lists the degree-j columns, the monomials with nested
-    support; `spans[j]` is the ideal's degree-j slice in those columns.
-    The columns without a pivot are the standard monomials, a basis of
-    the quotient.
+    Order the variables by decreasing dimension, the formal element 0
+    last, and monomials lexicographically.  The nested-set generators
+    (`generators`) and the non-nested monomials are then a Groebner basis
+    of the ideal (Feichtner-Yuzvinsky, Invent. Math. 155, 2004, Thm. 2):
+    the generator for a nested set H and an element W below it has the
+    leading term x_H * x_W^d, d = dim(intersection of H) - dim(W).  The
+    standard monomials, those no leading term divides, are a basis of the
+    quotient: the support (element 0 aside) is nested, and every exponent
+    m_v, element 0 included, is below dim(intersection of the support
+    elements strictly above v) - dim(v).
+
+    `monomials[j]` lists the degree-j monomials with nested support, and
+    `quotient_ranks[j]` counts the standard ones among them.
     """
 
-    building: BuildingSet
-    generators: list[GradedPoly]
-    spans: list[EchelonBasis]
-    monomials: list[list[Monomial]]
-    index: list[dict[Monomial, int]] = field(init=False, repr=False)
-    _point: dict[Monomial, Fraction] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # monomial -> its normal form, as (standard monomial, coefficient) pairs
-    _forms: dict[Monomial, tuple[tuple[Monomial, Fraction], ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        self.index = [{m: i for i, m in enumerate(ms)} for ms in self.monomials]
+    def __init__(self, building: BuildingSet) -> None:
+        self.building = building
+        nested = enumerate_nested(building, self.trunc)
+        self._nested = set(nested)
+        self.monomials = [
+            _nested_monomials(nested, building.size, j) for j in range(self.trunc + 1)
+        ]
+        self._limits: dict[frozenset[int], tuple[tuple[int, int], ...]] = {}
+        self._expansions: dict[tuple[int, int], tuple[tuple[Monomial, int], ...]] = {}
+        # monomial -> its normal form, as (standard monomial, coefficient) pairs
+        self._forms: dict[Monomial, tuple[tuple[Monomial, Fraction], ...]] = {}
+        self._point: dict[Monomial, Fraction] | None = None
+        self._generators: list[GradedPoly] | None = None
+        self.quotient_ranks = [sum(map(self._is_standard, ms)) for ms in self.monomials]
 
     @property
     def trunc(self) -> int:
         return self.building.n - 1
 
     @property
-    def quotient_ranks(self) -> list[int]:
-        return [len(ms) - sp.rank for ms, sp in zip(self.monomials, self.spans)]
+    def generators(self) -> list[GradedPoly]:
+        """The nested-set generators, built on first access; the normal form does not read them."""
+        if self._generators is None:
+            self._generators = nested_set_generators(self.building)
+        return self._generators
+
+    def _limits_of(self, support: frozenset[int]) -> tuple[tuple[int, int], ...]:
+        """(v, d) for v in the nested support and 0, by decreasing dimension:
+        d = dim(intersection of the support elements strictly above v) - dim(v)."""
+        got = self._limits.get(support)
+        if got is None:
+            bs = self.building
+            got = self._limits[support] = tuple(
+                (v, bs.intersection_dim([u for u in support if bs.lt(v, u)]) - bs.dims[v])
+                for v in sorted(support | {0}, key=lambda v: (-bs.dims[v], v))
+            )
+        return got
+
+    def _is_standard(self, mono: Monomial) -> bool:
+        """Whether a monomial with nested support is standard."""
+        return all(mono[v] < d for v, d in self._limits_of(_support(mono)))
+
+    def _expansion(self, w: int, d: int) -> tuple[tuple[Monomial, int], ...]:
+        """The terms of (sum of x_v over v <= w)^d other than x_w^d, as
+        (exponents, multinomial coefficient); terms with non-nested support
+        are left out, since every multiple of them is zero."""
+        got = self._expansions.get((w, d))
+        if got is None:
+            bs, nv = self.building, self.building.size
+            terms = []
+            for combo in combinations_with_replacement([v for v in range(nv) if bs.leq(v, w)], d):
+                delta = [0] * nv
+                for v in combo:
+                    delta[v] += 1
+                if delta[w] < d and _support(delta) in self._nested:
+                    coeff = factorial(d)
+                    for e in delta:
+                        coeff //= factorial(e)
+                    terms.append((tuple(delta), coeff))
+            got = self._expansions[(w, d)] = tuple(terms)
+        return got
 
     def _form(self, mono: Monomial) -> tuple[tuple[Monomial, Fraction], ...]:
-        """Normal form of one monomial, memoized: zero if not nested, itself
-        if standard, else minus the rest of its reduced row (all standard)."""
+        """Normal form of one monomial, memoized."""
         got = self._forms.get(mono)
         if got is None:
-            j = sum(mono)
-            i = self.index[j].get(mono)
-            row = None if i is None else self.spans[j].rows.get(i)
-            if row is not None:
-                monos = self.monomials[j]
-                got = tuple((monos[c], -v) for c, v in row.items() if c != i)
-            else:
-                got = () if i is None else ((mono, _ONE),)
-            self._forms[mono] = got
+            got = self._forms[mono] = self._rewrite(mono)
         return got
+
+    def _rewrite(self, mono: Monomial) -> tuple[tuple[Monomial, Fraction], ...]:
+        """Zero if the support is not nested, itself if standard.
+
+        Otherwise W is the largest-dimension element whose exponent reaches
+        its d, and x_H * x_W^d, with H the support elements strictly above
+        W, is the leading term of a generator: it is replaced by minus the
+        other terms, each rewritten in turn.  Each of those moves a factor
+        of x_W to an element of smaller dimension, so the rewriting ends.
+        """
+        support = _support(mono)
+        if support not in self._nested:
+            return ()
+        over = next(((w, d) for w, d in self._limits_of(support) if mono[w] >= d), None)
+        if over is None:
+            return ((mono, _ONE),)
+        w, d = over
+        # d = 0 is the relation x_H = 0, possible only below the formal element
+        if d < 0 or (d == 0 and w != 0):
+            raise StructureError(f"no relation rewrites the non-standard monomial {mono!r}")
+        rest = mono[:w] + (mono[w] - d,) + mono[w + 1 :]
+        out: dict[Monomial, Fraction] = {}
+        for delta, c in self._expansion(w, d):
+            for std, v in self._form(tuple(map(add, rest, delta))):
+                nv = out.get(std, _ZERO) - c * v
+                if nv:
+                    out[std] = nv
+                else:
+                    del out[std]
+        return tuple(out.items())
 
     def normal_form(self, poly: GradedPoly) -> GradedPoly:
         """`poly` modulo the ideal, written over the standard monomials."""
@@ -334,8 +393,8 @@ class IdealPresentation:
         """Top monomial -> its multiple of the point class (-c_0)^(n-1).
 
         With a rank-one top quotient every top normal form is a multiple
-        of the one standard top monomial.  Monomials that reduce to zero
-        are left out.
+        of the one standard top monomial, c_0^(n-1).  Monomials that
+        reduce to zero are left out.
         """
         if self._point is None:
             top = self.trunc
@@ -355,24 +414,38 @@ def _support(mono: Monomial) -> frozenset[int]:
     return frozenset(i for i, e in enumerate(mono) if e and i)
 
 
-def ideal_generators(bs: BuildingSet) -> IdealPresentation:
-    """Relation ideal of the building set, presented degree by degree.
+def _nested_monomials(nested, nvars: int, degree: int) -> list[Monomial]:
+    """Degree-`degree` monomials whose support is one of the `nested` sets,
+    lexicographically largest first."""
+    out = []
+    for subset in nested:
+        if len(subset) <= degree:
+            for extra in combinations_with_replacement((0, *sorted(subset)), degree - len(subset)):
+                mono = [0] * nvars
+                for i in (*subset, *extra):
+                    mono[i] += 1
+                out.append(tuple(mono))
+    out.sort(reverse=True)
+    return out
 
-    The columns of degree j are the degree-j monomials with nested
-    support; every other monomial is zero in the quotient.  Only
-    generators of total degree up to the truncation bound are emitted;
-    higher ones vanish in the truncated ring and cannot affect any degree
-    slice kept here.
+
+def nested_set_generators(bs: BuildingSet) -> list[GradedPoly]:
+    """The nested-set generators of the relation ideal.
+
+    For every nested subset H and every element W strictly below all of
+    H: the product of the H variables times the (dimension-drop)-th power
+    of the sum of the variables at or below W.  Only generators of total
+    degree up to the truncation bound are emitted; higher ones vanish in
+    the truncated ring.
     """
     nv = bs.size
     trunc = bs.n - 1
-    nested = enumerate_nested(bs, trunc)
     gens: list[GradedPoly] = []
 
     def var(i: int) -> GradedPoly:
         return GradedPoly.variable(i, nv, trunc)
 
-    for subset in nested:
+    for subset in enumerate_nested(bs, trunc):
         elems = sorted(subset)
         base = GradedPoly.constant(1, nv, trunc)
         for e in elems:
@@ -388,31 +461,18 @@ def ideal_generators(bs: BuildingSet) -> IdealPresentation:
                 if bs.leq(wp, w):
                     inner = inner + var(wp)
             gens.append(base * inner**drop)
+    return gens
 
-    supports = set(nested)
-    monomials = [
-        [m for m in monomials_of_degree(nv, j) if _support(m) in supports]
-        for j in range(trunc + 1)
-    ]
-    ideal = IdealPresentation(bs, gens, [EchelonBasis() for _ in range(trunc + 1)], monomials)
-    for j, (span, index) in enumerate(zip(ideal.spans, ideal.index)):
-        for g in gens:
-            dg = g.degree()
-            if dg > j or not g.terms:
-                continue
-            for mono in monomials[j - dg]:
-                # terms with non-nested support are zero and have no column
-                shifted = {
-                    i: c
-                    for m, c in g.terms.items()
-                    if (i := index.get(tuple(map(add, mono, m)))) is not None
-                }
-                span.insert(shifted)
 
-    if ideal.quotient_ranks[trunc] != 1:
-        raise StructureError(
-            f"top cohomology not rank 1 (got {ideal.quotient_ranks[trunc]})"
-        )
+def ideal_generators(bs: BuildingSet) -> IdealPresentation:
+    """Relation ideal of the building set, presented by its normal form.
+
+    Raises `StructureError` unless the top-degree quotient has rank one.
+    """
+    ideal = IdealPresentation(bs)
+    top = ideal.quotient_ranks[-1]
+    if top != 1:
+        raise StructureError(f"top cohomology not rank 1 (got {top})")
     return ideal
 
 

@@ -1,8 +1,9 @@
 """The quotient ring: normal forms, the memoized product, and the classes in it.
 
-The free-ring classes and the echelon of the relation ideal are the
-oracles: every quotient class must be the normal form of its free-ring
-twin, and `mul` must agree with reducing the free product.
+The free-ring classes and the ideal's generators are the oracles: every
+quotient class must be the normal form of its free-ring twin, `mul` must
+agree with reducing the free product, and the normal form must kill every
+generator.
 """
 
 from __future__ import annotations
@@ -25,16 +26,24 @@ from arrspec import (
     ideal_membership,
     maximal_building,
     monomials_of_degree,
+    prepare,
     reduce_top,
     run_checks,
     spectrum,
     spectrum_from_setup,
 )
+from arrspec import cli, ring
+from arrspec.fixtures import resolve_fixture
 
 
 def standard(ideal, j):
-    """Degree-j standard monomials: the nested columns without a pivot."""
-    return [m for i, m in enumerate(ideal.monomials[j]) if i not in ideal.spans[j].rows]
+    """Degree-j standard monomials: the nested monomials the normal form fixes."""
+    nv, trunc = ideal.building.size, ideal.trunc
+
+    def fixed(m):
+        return ideal.normal_form(GradedPoly(nv, trunc, {m: 1})).terms == {m: 1}
+
+    return [m for m in ideal.monomials[j] if fixed(m)]
 
 
 def class_list(cl):
@@ -151,3 +160,23 @@ def test_spectrum_does_not_depend_on_the_building_set(data):
     weighted = Arrangement.from_normals(arr.n, [h.normal for h in arr.hyperplanes], mults)
     custom = draw_custom_closures(data, lattice)
     assert spectrum(weighted).as_pairs() == spectrum(weighted, custom).as_pairs()
+
+
+def test_generators_are_never_built_on_the_spectrum_path(monkeypatch, capsys):
+    built = []
+    build = ring.nested_set_generators
+
+    def counted(bs):
+        built.append(bs)
+        return build(bs)
+
+    monkeypatch.setattr(ring, "nested_set_generators", counted)
+    spectrum(resolve_fixture("example-b1"))
+    assert cli.main(["compute", "example-b1"]) == 0
+    assert cli.main(["verify", "example-b1"]) == 0
+    assert cli.main(["verify", "example-b1", "--json"]) == 0
+    capsys.readouterr()
+    assert built == []
+    # the wrapper is the builder the lazy attribute calls
+    assert prepare(resolve_fixture("example-a")).ideal.generators
+    assert len(built) == 1

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrspec import (
@@ -325,3 +327,75 @@ def test_non_integral_multiplicity_raises_structure_error():
     setup._ch_todd[q] = setup.ch_todd(q) * Fraction(1, 2)
     with pytest.raises(StructureError):
         multiplicity(setup, 2, 0)
+
+
+def projective_betti(lattice):
+    """Betti numbers b_0..b_(n-1) of the projectivized complement.
+
+    The Poincare polynomial sum of mu(X) * (-t)^codim X over the flats,
+    divided by 1 + t.
+    """
+    poly = [0] * (lattice.n + 1)
+    for flat, mu in zip(lattice.flats, lattice.mobius):
+        poly[flat.codim] += mu * (-1) ** flat.codim
+    betti = []
+    for c in poly[:-1]:
+        betti.append(c - (betti[-1] if betti else 0))
+    assert poly[-1] == betti[-1], "Poincare polynomial not divisible by 1 + t"
+    return betti
+
+
+def test_trivial_local_system_gives_signed_betti_numbers(setups):
+    # at k = d every residue is 0: the cells are the Hodge-Euler numbers of
+    # the trivial local system, signed Betti numbers of the complement
+    extra = {name: prepare(resolve_fixture(name)) for name in ("lines:3", "lines:6")}
+    for name, setup in {**setups, **extra}.items():
+        if not setup.lattice.is_essential:
+            continue
+        n, d = setup.n, setup.degree
+        betti = projective_betti(setup.lattice)
+        got = [multiplicity(setup, d, p) for p in range(n - 1)]
+        assert got == [(-1) ** p * betti[n - 1 - p] for p in range(n - 1)], name
+
+
+def budur_saito(d, point_mults):
+    """Spectrum of a reduced essential arrangement of d planes in C^3.
+
+    Budur-Saito (Math. Ann. 347, 2010): with nu_m points of multiplicity
+    m >= 3 in P^2 and c = ceil(i m / d), for i = 1..d
+    n_(i/d) = C(i-1, 2) - sum nu_m C(c-1, 2),
+    n_(i/d+1) = (i-1)(d-i-1) - sum nu_m (c-1)(m-c),
+    n_(i/d+2) = C(d-i-1, 2) - sum nu_m C(m-c, 2); the exponent 3 is left out.
+    """
+
+    def c2(a):
+        return a * (a - 1) // 2 if a >= 2 else 0
+
+    out = {}
+    for i in range(1, d + 1):
+        a = Fraction(i, d)
+        cs = [(m, -(-i * m // d)) for m in point_mults if m >= 3]
+        out[a] = c2(i - 1) - sum(c2(c - 1) for m, c in cs)
+        out[a + 1] = (i - 1) * (d - i - 1) - sum((c - 1) * (m - c) for m, c in cs)
+        if i < d:
+            out[a + 2] = c2(d - i - 1) - sum(c2(m - c) for m, c in cs)
+    return {a: v for a, v in out.items() if v}
+
+
+# one normal per direction: primitive, first nonzero entry positive
+NORMALS_C3 = [
+    v
+    for v in product((-1, 0, 1, 2), repeat=3)
+    if gcd(*v) == 1 and next(c for c in v if c) > 0
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(NORMALS_C3), min_size=3, max_size=7, unique=True))
+def test_reduced_planes_in_c3_match_budur_saito(normals):
+    arr = Arrangement.from_normals(3, normals)
+    setup = prepare(arr)
+    assume(setup.lattice.is_essential)
+    points = [len(f.closure) for f in setup.lattice.flats if f.codim == 2]
+    got = {pt.alpha: pt.mult for pt in spectrum_from_setup(setup).points}
+    assert got == budur_saito(len(normals), points)
