@@ -116,9 +116,10 @@ def _power_sums(roots: list[tuple[int, GradedPoly]], bs: BuildingSet, mul) -> li
     sums = [GradedPoly.zero(bs.size, trunc) for _ in range(trunc + 1)]
     for m, x in roots:
         power = x * m
-        for k in range(1, trunc + 1):
-            sums[k] = sums[k] + power
+        sums[1] = sums[1] + power
+        for k in range(2, trunc + 1):
             power = mul(power, x)
+            sums[k] = sums[k] + power
     return sums
 
 

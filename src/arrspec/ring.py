@@ -15,17 +15,19 @@ rewrites a polynomial monomial by monomial from a per-ideal memo, and
 `mul` rewrites the truncated product of two normal forms the same way,
 so the memo holds the ring's structure constants.
 
-The top-degree quotient has rank one, so reduction against the top slice
-is a linear functional: each top monomial is a rational multiple of the
-class of a point.  `point_functional` tabulates those multiples once;
-`reduce_top` is a dot product with the table, and `pair_top` evaluates a
-product the same way while forming only its top-degree terms.
+The top-degree quotient has rank one, spanned by the one standard top
+monomial c_0^(n-1), so a top monomial's memoized normal form is empty or
+one rational multiple of it: of the class of a point, up to the sign
+(-1)^(n-1).  `pair_top` reads a product's point-class coefficient off
+those forms while forming only its top-degree terms, and `reduce_top` is
+the pairing with 1.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import factorial
 from operator import add
 
@@ -269,24 +271,30 @@ class IdealPresentation:
     m_v, element 0 included, is below dim(intersection of the support
     elements strictly above v) - dim(v).
 
-    `monomials[j]` lists the degree-j monomials with nested support, and
-    `quotient_ranks[j]` counts the standard ones among them.
+    `quotient_ranks[j]` counts the degree-j standard monomials, support
+    by support, without listing them.  On the empty support the bound of
+    c_0 is n, so c_0^(n-1) is always standard; `ideal_generators` checks
+    that the top rank is one, so it is the only standard top monomial.
+    `monomials[j]`, every degree-j monomial with nested support, is built
+    on first access; nothing on the spectrum path reads it.
     """
 
     def __init__(self, building: BuildingSet) -> None:
         self.building = building
-        nested = enumerate_nested(building, self.trunc)
-        self._nested = set(nested)
-        self.monomials = [
-            _nested_monomials(nested, building.size, j) for j in range(self.trunc + 1)
-        ]
+        self._nested = set(enumerate_nested(building, self.trunc))
         self._limits: dict[frozenset[int], tuple[tuple[int, int], ...]] = {}
         self._expansions: dict[tuple[int, int], tuple[tuple[Monomial, int], ...]] = {}
         # monomial -> its normal form, as (standard monomial, coefficient) pairs
         self._forms: dict[Monomial, tuple[tuple[Monomial, Fraction], ...]] = {}
-        self._point: dict[Monomial, Fraction] | None = None
+        self._monomials: list[list[Monomial]] | None = None
         self._generators: list[GradedPoly] | None = None
-        self.quotient_ranks = [sum(map(self._is_standard, ms)) for ms in self.monomials]
+        # standard monomials by degree: 1 <= m_v < d_v on the support, 0 <= m_0 < d_0
+        ranks = Counter(
+            sum(exps)
+            for support in self._nested
+            for exps in product(*(range(1 if v else 0, d) for v, d in self._limits_of(support)))
+        )
+        self.quotient_ranks = [ranks[j] for j in range(self.trunc + 1)]
 
     @property
     def trunc(self) -> int:
@@ -299,6 +307,16 @@ class IdealPresentation:
             self._generators = nested_set_generators(self.building)
         return self._generators
 
+    @property
+    def monomials(self) -> list[list[Monomial]]:
+        """Degree j -> the monomials with nested support, built on first access."""
+        if self._monomials is None:
+            nv = self.building.size
+            self._monomials = [
+                _nested_monomials(self._nested, nv, j) for j in range(self.trunc + 1)
+            ]
+        return self._monomials
+
     def _limits_of(self, support: frozenset[int]) -> tuple[tuple[int, int], ...]:
         """(v, d) for v in the nested support and 0, by decreasing dimension:
         d = dim(intersection of the support elements strictly above v) - dim(v)."""
@@ -310,10 +328,6 @@ class IdealPresentation:
                 for v in sorted(support | {0}, key=lambda v: (-bs.dims[v], v))
             )
         return got
-
-    def _is_standard(self, mono: Monomial) -> bool:
-        """Whether a monomial with nested support is standard."""
-        return all(mono[v] < d for v, d in self._limits_of(_support(mono)))
 
     def _expansion(self, w: int, d: int) -> tuple[tuple[Monomial, int], ...]:
         """The terms of (sum of x_v over v <= w)^d other than x_w^d, as
@@ -388,25 +402,6 @@ class IdealPresentation:
     def mul(self, a: GradedPoly, b: GradedPoly) -> GradedPoly:
         """Normal form of `a * b`: the truncated product, rewritten by the memo."""
         return self.normal_form(a * b)
-
-    def point_functional(self) -> dict[Monomial, Fraction]:
-        """Top monomial -> its multiple of the point class (-c_0)^(n-1).
-
-        With a rank-one top quotient every top normal form is a multiple
-        of the one standard top monomial, c_0^(n-1).  Monomials that
-        reduce to zero are left out.
-        """
-        if self._point is None:
-            top = self.trunc
-            if self.quotient_ranks[top] != 1:
-                raise StructureError("top residue is not a multiple of the point class")
-            point = self._form((top,) + (0,) * (self.building.size - 1))
-            if not point:
-                raise StructureError("the class of a point reduces to zero")
-            unit = point[0][1] * (-1) ** top
-            forms = ((m, self._form(m)) for m in self.monomials[top])
-            self._point = {m: form[0][1] / unit for m, form in forms if form}
-        return self._point
 
 
 def _support(mono: Monomial) -> frozenset[int]:
@@ -483,29 +478,29 @@ def _check_ring(poly: GradedPoly, ideal: IdealPresentation) -> None:
 
 def reduce_top(poly: GradedPoly, ideal: IdealPresentation) -> Fraction:
     """Coefficient of the point class in the top-degree part of `poly`."""
-    _check_ring(poly, ideal)
-    point = ideal.point_functional()
-    # the functional's keys are top-degree monomials only
-    return sum((c * point[m] for m, c in poly.terms.items() if m in point), _ZERO)
+    return pair_top(poly, GradedPoly.constant(1, poly.nvars, poly.trunc), ideal)
 
 
 def pair_top(a: GradedPoly, b: GradedPoly, ideal: IdealPresentation) -> Fraction:
-    """`reduce_top(a * b, ideal)`, forming only the top-degree terms of the product."""
+    """`reduce_top(a * b, ideal)`, forming only the top-degree terms of the product.
+
+    Each top form is empty or a multiple of c_0^(n-1), which is
+    (-1)^(n-1) times the point class.
+    """
     _check_ring(a, ideal)
     _check_ring(b, ideal)
-    point = ideal.point_functional()
     top = ideal.trunc
     right = b._by_degree()
     total = _ZERO
     for ma, ca in a.terms.items():
         acc = _ZERO
         for mb, cb in right[top - sum(ma)]:
-            w = point.get(tuple(map(add, ma, mb)))
-            if w:
-                acc += cb * w
+            form = ideal._form(tuple(map(add, ma, mb)))
+            if form:
+                acc += cb * form[0][1]
         if acc:
             total += ca * acc
-    return total
+    return total * (-1) ** top
 
 
 def ideal_membership(poly: GradedPoly, ideal: IdealPresentation) -> bool:

@@ -205,13 +205,6 @@ class SpectrumResult:
     points: tuple[SpectralPoint, ...]
     warnings: tuple[str, ...]
 
-    def multiplicity_of(self, alpha) -> int:
-        alpha = Fraction(alpha)
-        for pt in self.points:
-            if pt.alpha == alpha:
-                return pt.mult
-        return 0
-
     def as_pairs(self) -> list[tuple[Fraction, int]]:
         return [(pt.alpha, pt.mult) for pt in self.points]
 
@@ -232,8 +225,6 @@ def spectrum_from_setup(setup: SpectrumSetup) -> SpectrumResult:
             "non-essential arrangement: computed from the formula as written, "
             "but not validated against known examples"
         )
-    if not setup.building.is_maximal:
-        warnings.append("custom building set: output not validated")
     return SpectrumResult(d, tuple(points), tuple(warnings))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -163,20 +164,46 @@ def test_spectrum_does_not_depend_on_the_building_set(data):
 
 
 def test_generators_are_never_built_on_the_spectrum_path(monkeypatch, capsys):
-    built = []
-    build = ring.nested_set_generators
+    built = {"nested_set_generators": [], "_nested_monomials": []}
 
-    def counted(bs):
-        built.append(bs)
-        return build(bs)
+    def counting(name):
+        build = getattr(ring, name)
 
-    monkeypatch.setattr(ring, "nested_set_generators", counted)
+        def counted(*args):
+            built[name].append(args)
+            return build(*args)
+
+        monkeypatch.setattr(ring, name, counted)
+
+    for name in built:
+        counting(name)
     spectrum(resolve_fixture("example-b1"))
     assert cli.main(["compute", "example-b1"]) == 0
     assert cli.main(["verify", "example-b1"]) == 0
     assert cli.main(["verify", "example-b1", "--json"]) == 0
     capsys.readouterr()
-    assert built == []
-    # the wrapper is the builder the lazy attribute calls
-    assert prepare(resolve_fixture("example-a")).ideal.generators
-    assert len(built) == 1
+    assert built == {"nested_set_generators": [], "_nested_monomials": []}
+    # the wrappers are the builders the lazy attributes call
+    ideal = prepare(resolve_fixture("example-a")).ideal
+    assert ideal.generators
+    assert len(built["nested_set_generators"]) == 1
+    assert ideal.monomials
+    assert len(built["_nested_monomials"]) == ideal.trunc + 1
+
+
+def braid_a4():
+    """x_i - x_j on five points, the last coordinate set to 0, and the
+    closures of its irreducible flats (one block of the partition)."""
+    pairs = list(combinations(range(5), 2))
+    normals = [tuple(int(k == i) - int(k == j) for k in range(4)) for i, j in pairs]
+    blocks = [b for size in range(2, 6) for b in combinations(range(5), size)]
+    closures = [[h for h, (i, j) in enumerate(pairs) if {i, j} <= set(b)] for b in blocks]
+    return Arrangement.from_normals(4, normals), closures
+
+
+def test_braid_a4_quotient_ranks():
+    arr, closures = braid_a4()
+    lattice = build_lattice(arr)
+    assert ideal_generators(maximal_building(lattice)).quotient_ranks == [1, 41, 41, 1]
+    irreducible = building_from_closures(lattice, closures)
+    assert ideal_generators(irreducible).quotient_ranks == [1, 16, 16, 1]

@@ -249,6 +249,7 @@ def test_irreducible_building_set_gives_the_maximal_spectrum():
     closures = [[i] for i in range(6)] + [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5]]
     result = spectrum(arr, building_closures=closures + [list(range(6))])
     assert pairs(result) == pairs(spectrum(arr))
+    assert result.warnings == ()
 
 
 def test_multiplicity_integrality_enforced(setups):
