@@ -31,6 +31,7 @@ from .nested import (
 from .ring import (
     GradedPoly,
     IdealPresentation,
+    QuotientElement,
     ideal_generators,
     ideal_membership,
     monomials_of_degree,
@@ -66,6 +67,7 @@ __all__ = [
     "Hyperplane",
     "IdealPresentation",
     "IntersectionLattice",
+    "QuotientElement",
     "SpectralPoint",
     "SpectrumResult",
     "SpectrumSetup",

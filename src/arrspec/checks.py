@@ -54,11 +54,12 @@ def _check_euler(setup: SpectrumSetup, result: SpectrumResult) -> CheckResult:
 
 
 def _check_cross_route(setup: SpectrumSetup) -> CheckResult:
-    classes, nf = setup.quotient, setup.ideal.normal_form
+    classes, element = setup.quotient, setup.ideal.element
+    log_chern = classes.log_chern.poly()
     bad = [
         p
         for p in range(setup.n)
-        if classes.dual_ch[p] != nf(ch_dual_exterior_roots(setup.building, p, classes.log_chern))
+        if classes.dual_ch[p] != element(ch_dual_exterior_roots(setup.building, p, log_chern))
     ]
     detail = f"exterior powers 0..{setup.n - 1} via Adams operations vs direct root expansion"
     if bad:

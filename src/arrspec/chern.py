@@ -1,4 +1,4 @@
-"""Characteristic classes on the log resolution, as truncated polynomials.
+"""Characteristic classes on the log resolution, in the free ring or the quotient.
 
 In K-theory the tangent bundle of the resolution is a signed sum of line
 bundles, up to trivial summands.  `tangent_roots` lists their first Chern
@@ -20,34 +20,40 @@ powers of the dual log forms follow from the lambda-ring Newton identity
 
 where the Adams operation psi^j scales the degree-i part by j^i.
 
-Given the relation ideal, `char_classes` runs the same code in the
-quotient ring: every product is a normal form, so a root's power x^k is
-the normal form of x^(k-1) * x, and the sparse roots are rewritten only
-in their sum P_1.
+Every root is an integer combination of the variables.  `char_classes`
+runs one body on either kind of element: free-ring `GradedPoly`s, or,
+given the relation ideal, `QuotientElement`s, whose roots are integer
+combinations of the variables' degree-one normal forms and whose
+products read the ideal's integer structure constants.  The total and
+log Chern classes are built from the stored power sums when first read;
+the spectrum reads neither.
 
 `ch_dual_exterior_roots` is kept as an independent route to the same
 Chern characters: it expands the exponential sums over formal roots,
 rewrites them in elementary symmetric functions and substitutes the
 graded parts of the log Chern class.  The two agree as free-ring
-polynomials, so their normal forms agree as well; the verification
-harness compares the normal forms term by term.
+polynomials, so their classes in the quotient agree as well; the
+verification harness compares them there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations
 from math import factorial
-from operator import mul
+from operator import mul, sub
 
 from .arrangement import StructureError
 from .nested import BuildingSet
-from .ring import GradedPoly, IdealPresentation
+from .ring import GradedPoly, IdealPresentation, QuotientElement
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# a class in the free ring or in the quotient
+Element = GradedPoly | QuotientElement
 
 
 def q_series(deg: int) -> list[Fraction]:
@@ -94,83 +100,101 @@ def series_apply(coeffs: list[Fraction], z: GradedPoly) -> GradedPoly:
     return out
 
 
-def tangent_roots(bs: BuildingSet) -> list[tuple[int, GradedPoly]]:
+def tangent_roots(bs: BuildingSet, linear=None) -> list[tuple[int, Element]]:
     """Virtual Chern roots of the resolution's tangent bundle.
 
     A list of (multiplicity, first Chern class) pairs; the total Chern
-    class is the product of (1 + x)^m over them.
+    class is the product of (1 + x)^m over them.  `linear` turns integer
+    coefficients of the variables into a class; by default a free-ring
+    `GradedPoly`.
     """
-    nv, trunc = bs.size, bs.n - 1
-    var = [GradedPoly.variable(i, nv, trunc) for i in range(nv)]
-    roots = [(bs.n, -var[0])]
+    nv = bs.size
+    linear = linear or partial(GradedPoly.linear, trunc=bs.n - 1)
+    roots = [(bs.n, linear([-1] + [0] * (nv - 1)))]
     for v in range(1, nv):
         r = bs.codims[v]
-        strict = sum((var[w] for w in range(nv) if bs.lt(w, v)), GradedPoly.zero(nv, trunc))
-        roots += [(-r, -strict), (1, var[v]), (r, -(strict + var[v]))]
+        strict = [-int(bs.lt(w, v)) for w in range(nv)]
+        unit = [int(w == v) for w in range(nv)]
+        weak = list(map(sub, strict, unit))
+        roots += [(-r, linear(strict)), (1, linear(unit)), (r, linear(weak))]
     return roots
 
 
-def _power_sums(roots: list[tuple[int, GradedPoly]], bs: BuildingSet, mul) -> list[GradedPoly]:
-    """P_k = sum of m * x^k over the roots, for k = 0 .. n-1 (P_0 is left zero)."""
-    trunc = bs.n - 1
-    sums = [GradedPoly.zero(bs.size, trunc) for _ in range(trunc + 1)]
+def _power_sums(roots: list[tuple[int, Element]], trunc: int, zero: Element) -> list[Element]:
+    """P_k = sum of m * x^k over the roots, for k = 0 .. trunc (P_0 is left zero)."""
+    sums = [zero] * (trunc + 1)
     for m, x in roots:
         power = x * m
         sums[1] = sums[1] + power
         for k in range(2, trunc + 1):
-            power = mul(power, x)
+            power = power * x
             sums[k] = sums[k] + power
     return sums
 
 
-def _root_sum(f: list[Fraction], sums: list[GradedPoly]) -> GradedPoly:
+def _root_sum(f: list[Fraction], sums: list[Element]) -> Element:
     """Sum of m * f(x) over the roots behind the power sums, without f(0)."""
     return sum((ps * f[k] for k, ps in enumerate(sums) if k), sums[0])
 
 
+def _log_one_plus_x(trunc: int) -> list[Fraction]:
+    return series_log([_ONE, _ONE] + [_ZERO] * (trunc - 1))
+
+
 @dataclass
 class CharClasses:
-    """All characteristic classes needed by the spectrum formula."""
+    """All characteristic classes needed by the spectrum formula.
+
+    `tangent` and `dual_log` are the power sums of the tangent and dual
+    log roots; `total` and `log_chern` are built from them when first read.
+    """
 
     building: BuildingSet
-    total: GradedPoly
-    todd: GradedPoly
-    log_chern: GradedPoly
-    dual_ch: tuple[GradedPoly, ...]
+    todd: Element
+    dual_ch: tuple[Element, ...]
+    tangent: tuple[Element, ...] = field(repr=False)
+    dual_log: tuple[Element, ...] = field(repr=False)
+    _total: Element | None = field(default=None, init=False, repr=False, compare=False)
+    _log_chern: Element | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def total(self) -> Element:
+        """Total Chern class of the tangent bundle."""
+        if self._total is None:
+            trunc = self.building.n - 1
+            self._total = _root_sum(_log_one_plus_x(trunc), self.tangent).exp()
+        return self._total
+
+    @property
+    def log_chern(self) -> Element:
+        """Total Chern class of the log one-forms: the dual roots with their signs changed."""
+        if self._log_chern is None:
+            trunc = self.building.n - 1
+            self._log_chern = _root_sum(_log_one_plus_x(trunc), self.dual_log).exp().adams(-1)
+        return self._log_chern
 
 
 def char_classes(bs: BuildingSet, ideal: IdealPresentation | None = None) -> CharClasses:
     """Every class of the spectrum formula, from the virtual tangent roots.
 
-    Free-ring polynomials, or normal forms in the quotient by `ideal`.
+    Free-ring `GradedPoly`s, or `QuotientElement`s in the quotient by `ideal`.
     """
     nv, trunc = bs.size, bs.n - 1
-    roots = tangent_roots(bs)
-    boundary = [(-1, GradedPoly.variable(v, nv, trunc)) for v in range(1, nv)]
-    mul = GradedPoly.__mul__ if ideal is None else ideal.mul
-    tangent = _power_sums(roots, bs, mul)
-    dual_log = [a + b for a, b in zip(tangent, _power_sums(boundary, bs, mul))]
-    if ideal is not None:
-        # P_1 is a sum of the roots themselves; every other P_k is a sum of products
-        tangent[1], dual_log[1] = ideal.normal_form(tangent[1]), ideal.normal_form(dual_log[1])
-
-    log_one_plus_x = series_log([_ONE, _ONE] + [_ZERO] * (trunc - 1))
-    total = _root_sum(log_one_plus_x, tangent).exp(mul)
-    todd = _root_sum(series_log(q_series(trunc)), tangent).exp(mul)
-    # the log forms are the dual: every root changes sign
-    log_chern = _root_sum(log_one_plus_x, dual_log).exp(mul).adams(-1)
+    linear = partial(GradedPoly.linear, trunc=trunc) if ideal is None else ideal.linear
+    zero = linear([0] * nv)
+    tangent = _power_sums(tangent_roots(bs, linear), trunc, zero)
+    boundary = [(-1, linear([int(w == v) for w in range(nv)])) for v in range(1, nv)]
+    dual_log = [a + b for a, b in zip(tangent, _power_sums(boundary, trunc, zero))]
+    todd = _root_sum(series_log(q_series(trunc)), tangent).exp()
 
     ch = _root_sum([Fraction(1, factorial(k)) for k in range(bs.n)], dual_log) + trunc
     # lambda^p = (1/p) * sum_j (-1)^(j-1) * psi^j(ch) * lambda^(p-j)
     psi = [ch.adams(j) for j in range(bs.n)]
-    dual_ch = [GradedPoly.constant(1, nv, trunc)]
+    dual_ch = [zero + 1]
     for p in range(1, bs.n):
-        acc = sum(
-            (mul(psi[j], dual_ch[p - j]) * (-1) ** (j - 1) for j in range(1, p + 1)),
-            GradedPoly.zero(nv, trunc),
-        )
+        acc = sum((psi[j] * dual_ch[p - j] * (-1) ** (j - 1) for j in range(1, p + 1)), zero)
         dual_ch.append(acc * Fraction(1, p))
-    return CharClasses(bs, total, todd, log_chern, tuple(dual_ch))
+    return CharClasses(bs, todd, tuple(dual_ch), tuple(tangent), tuple(dual_log))
 
 
 def ch_dual_exterior_roots(bs: BuildingSet, p: int, log_chern: GradedPoly) -> GradedPoly:

@@ -9,27 +9,32 @@ degree.
 
 `IdealPresentation` presents the quotient by the relation ideal through
 its Feichtner-Yuzvinsky normal form: the standard monomials, a basis of
-the quotient, are known in closed form, and a monomial's normal form
-comes from rewriting leading terms, with no elimination.  `normal_form`
-rewrites a polynomial monomial by monomial from a per-ideal memo, and
-`mul` rewrites the truncated product of two normal forms the same way,
-so the memo holds the ring's structure constants.
+the quotient, are known in closed form and listed by degree in `basis`,
+and a monomial's normal form comes from rewriting leading terms, with no
+elimination.  The product of two basis monomials is the normal form of
+their product; its coefficients, the ring's structure constants, are
+integers, since every leading coefficient is one.  They are read into a
+table by pair of basis indices on first use.
 
-The top-degree quotient has rank one, spanned by the one standard top
-monomial c_0^(n-1), so a top monomial's memoized normal form is empty or
-one rational multiple of it: of the class of a point, up to the sign
-(-1)^(n-1).  `pair_top` reads a product's point-class coefficient off
-those forms while forming only its top-degree terms, and `reduce_top` is
-the pairing with 1.
+`QuotientElement` is an element of the quotient: one integer numerator
+per basis monomial over one common denominator.  Its products read the
+table, so a product costs one multiply-add per structure constant, in
+integers.  The top-degree quotient has rank one, spanned by c_0^(n-1),
+which is (-1)^(n-1) times the class of a point; the pairing matrices M_j
+give the point-class value of a degree-j basis monomial times a
+degree-(n-1-j) one, and an element pairs with another as a . M . b.
+
+`normal_form`, `mul`, `pair_top`, `reduce_top` and `ideal_membership`
+take and give `GradedPoly`s; each converts through `element` and
+`QuotientElement.poly` and runs in the quotient.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
-from math import factorial
-from operator import add
+from itertools import accumulate, combinations_with_replacement, product
+from math import factorial, gcd, lcm
+from operator import add, mul
 
 from .arrangement import StructureError
 from .nested import BuildingSet, d_value, enumerate_nested
@@ -73,6 +78,13 @@ class GradedPoly:
             raise ValueError(f"variable index {i} out of range 0..{nvars - 1}")
         mono = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(nvars, trunc, {mono: _ONE})
+
+    @classmethod
+    def linear(cls, coeffs, trunc: int) -> "GradedPoly":
+        """The degree-one polynomial sum of coeffs[v] * c_v."""
+        nv = len(coeffs)
+        units = {tuple(int(j == v) for j in range(nv)): a for v, a in enumerate(coeffs) if a}
+        return cls(nv, trunc, units)
 
     def _like(self, terms: dict[Monomial, Fraction]) -> "GradedPoly":
         p = GradedPoly.__new__(GradedPoly)
@@ -185,19 +197,14 @@ class GradedPoly:
             out = out + power
         return out
 
-    def exp(self, mul=None) -> "GradedPoly":
-        """Truncated exponential; requires zero constant term.
-
-        `mul` multiplies the powers: free by default, `IdealPresentation.mul`
-        in the quotient.
-        """
+    def exp(self) -> "GradedPoly":
+        """Truncated exponential; requires zero constant term."""
         if self.constant_term:
             raise ValueError("exp needs a zero constant term")
-        mul = mul or GradedPoly.__mul__
         out = GradedPoly.constant(1, self.nvars, self.trunc)
         power = GradedPoly.constant(1, self.nvars, self.trunc)
         for k in range(1, self.trunc + 1):
-            power = mul(power, self)
+            power = power * self
             if not power.terms:
                 break
             out = out + power * Fraction(1, factorial(k))
@@ -271,30 +278,47 @@ class IdealPresentation:
     m_v, element 0 included, is below dim(intersection of the support
     elements strictly above v) - dim(v).
 
-    `quotient_ranks[j]` counts the degree-j standard monomials, support
-    by support, without listing them.  On the empty support the bound of
-    c_0 is n, so c_0^(n-1) is always standard; `ideal_generators` checks
-    that the top rank is one, so it is the only standard top monomial.
+    `basis` lists the standard monomials by degree, lexicographically
+    largest first within a degree, and `quotient_ranks[j]` counts those of
+    degree j.  On the empty support the bound of c_0 is n, so c_0^(n-1) is
+    always standard; `ideal_generators` checks that the top rank is one,
+    so it is the last basis monomial and the only one of top degree.
     `monomials[j]`, every degree-j monomial with nested support, is built
     on first access; nothing on the spectrum path reads it.
     """
 
     def __init__(self, building: BuildingSet) -> None:
         self.building = building
+        nv = building.size
         self._nested = set(enumerate_nested(building, self.trunc))
         self._limits: dict[frozenset[int], tuple[tuple[int, int], ...]] = {}
         self._expansions: dict[tuple[int, int], tuple[tuple[Monomial, int], ...]] = {}
-        # monomial -> its normal form, as (standard monomial, coefficient) pairs
-        self._forms: dict[Monomial, tuple[tuple[Monomial, Fraction], ...]] = {}
+        # monomial with nested support -> its normal form, as (basis index, coefficient) pairs
+        self._forms: dict[Monomial, tuple[tuple[int, Fraction], ...]] = {}
         self._monomials: list[list[Monomial]] | None = None
         self._generators: list[GradedPoly] | None = None
-        # standard monomials by degree: 1 <= m_v < d_v on the support, 0 <= m_0 < d_0
-        ranks = Counter(
-            sum(exps)
-            for support in self._nested
-            for exps in product(*(range(1 if v else 0, d) for v, d in self._limits_of(support)))
+        # standard monomials: 1 <= m_v < d_v on the support, 0 <= m_0 < d_0
+        self.basis: list[Monomial] = sorted(
+            (
+                _monomial(nv, zip((v for v, _ in limits), exps))
+                for limits in map(self._limits_of, self._nested)
+                for exps in product(*(range(1 if v else 0, d) for v, d in limits))
+            ),
+            key=lambda m: (sum(m), [-e for e in m]),
         )
-        self.quotient_ranks = [ranks[j] for j in range(self.trunc + 1)]
+        self.index = {m: i for i, m in enumerate(self.basis)}
+        self._degrees = [sum(m) for m in self.basis]
+        self.quotient_ranks = [self._degrees.count(j) for j in range(self.trunc + 1)]
+        # _starts[j]: index of the first basis monomial of degree j; _starts[trunc + 1] is the rank
+        self._starts = list(accumulate(self.quotient_ranks, initial=0))
+        # (i, j) -> structure constants of basis[i] * basis[j], as (index, integer) pairs
+        self._table: list[list[tuple[tuple[int, int], ...] | None]] = [
+            [None] * len(self.basis) for _ in self.basis
+        ]
+        self._pairing: list[list[list[int]] | None] = [None] * (self.trunc + 1)
+        # each variable's normal form, of degree one, as (index, integer) pairs
+        units = [_monomial(nv, [(v, 1)]) for v in range(nv)]
+        self._images = [_integral(self._form(u), u) for u in units]
 
     @property
     def trunc(self) -> int:
@@ -316,6 +340,25 @@ class IdealPresentation:
                 _nested_monomials(self._nested, nv, j) for j in range(self.trunc + 1)
             ]
         return self._monomials
+
+    def pairing_matrix(self, j: int) -> list[list[int]]:
+        """The Poincare pairing matrix M_j, built on first use.
+
+        M_j[a][b] is the point-class value of the a-th basis monomial of
+        degree j times the b-th of degree n-1-j.  Duality makes every M_j
+        square and invertible, with M_(n-1-j) its transpose.
+        """
+        got = self._pairing[j]
+        if got is None:
+            top, starts = self.trunc, self._starts
+            sign = (-1) ** top
+            dual = range(starts[top - j], starts[top - j + 1])
+            # a top-degree product is zero or one multiple of c_0^(n-1)
+            got = self._pairing[j] = [
+                [sign * sum(c for _, c in self._constants(a, b)) for b in dual]
+                for a in range(starts[j], starts[j + 1])
+            ]
+        return got
 
     def _limits_of(self, support: frozenset[int]) -> tuple[tuple[int, int], ...]:
         """(v, d) for v in the nested support and 0, by decreasing dimension:
@@ -349,15 +392,21 @@ class IdealPresentation:
             got = self._expansions[(w, d)] = tuple(terms)
         return got
 
-    def _form(self, mono: Monomial) -> tuple[tuple[Monomial, Fraction], ...]:
-        """Normal form of one monomial, memoized."""
+    def _form(self, mono: Monomial) -> tuple[tuple[int, Fraction], ...]:
+        """Normal form of one monomial; zero if the support is not nested.
+
+        Memoized for nested support only, so the memo holds no zeros of
+        that kind.
+        """
         got = self._forms.get(mono)
         if got is None:
+            if _support(mono) not in self._nested:
+                return ()
             got = self._forms[mono] = self._rewrite(mono)
         return got
 
-    def _rewrite(self, mono: Monomial) -> tuple[tuple[Monomial, Fraction], ...]:
-        """Zero if the support is not nested, itself if standard.
+    def _rewrite(self, mono: Monomial) -> tuple[tuple[int, Fraction], ...]:
+        """Normal form of a monomial with nested support: itself if standard.
 
         Otherwise W is the largest-dimension element whose exponent reaches
         its d, and x_H * x_W^d, with H the support elements strictly above
@@ -365,43 +414,203 @@ class IdealPresentation:
         other terms, each rewritten in turn.  Each of those moves a factor
         of x_W to an element of smaller dimension, so the rewriting ends.
         """
-        support = _support(mono)
-        if support not in self._nested:
-            return ()
-        over = next(((w, d) for w, d in self._limits_of(support) if mono[w] >= d), None)
+        limits = self._limits_of(_support(mono))
+        over = next(((w, d) for w, d in limits if mono[w] >= d), None)
         if over is None:
-            return ((mono, _ONE),)
+            return ((self.index[mono], _ONE),)
         w, d = over
         # d = 0 is the relation x_H = 0, possible only below the formal element
         if d < 0 or (d == 0 and w != 0):
             raise StructureError(f"no relation rewrites the non-standard monomial {mono!r}")
         rest = mono[:w] + (mono[w] - d,) + mono[w + 1 :]
-        out: dict[Monomial, Fraction] = {}
+        out: dict[int, Fraction] = {}
         for delta, c in self._expansion(w, d):
-            for std, v in self._form(tuple(map(add, rest, delta))):
-                nv = out.get(std, _ZERO) - c * v
+            for i, v in self._form(tuple(map(add, rest, delta))):
+                nv = out.get(i, _ZERO) - c * v
                 if nv:
-                    out[std] = nv
+                    out[i] = nv
                 else:
-                    del out[std]
+                    del out[i]
         return tuple(out.items())
+
+    def _constants(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
+        """Structure constants of basis[i] * basis[j], filled in the table for both orders."""
+        got = self._table[i][j]
+        if got is None:
+            mono = tuple(map(add, self.basis[i], self.basis[j]))
+            got = self._table[i][j] = self._table[j][i] = _integral(self._form(mono), mono)
+        return got
+
+    # elements
+
+    def constant(self, value) -> "QuotientElement":
+        c = Fraction(value)
+        return QuotientElement(self, [c.numerator] + [0] * (len(self.basis) - 1), c.denominator)
+
+    def linear(self, coeffs) -> "QuotientElement":
+        """The class of the sum of coeffs[v] * c_v, for integer coefficients."""
+        num = [0] * len(self.basis)
+        for v, a in enumerate(coeffs):
+            if a:
+                for i, c in self._images[v]:
+                    num[i] += a * c
+        return QuotientElement(self, num)
+
+    def element(self, poly: GradedPoly) -> "QuotientElement":
+        """The class of `poly` in the quotient."""
+        _check_ring(poly, self)
+        acc: dict[int, Fraction] = {}
+        for mono, c in poly.terms.items():
+            for i, v in self._form(mono):
+                acc[i] = acc.get(i, _ZERO) + c * v
+        den = lcm(*(a.denominator for a in acc.values()))
+        num = [0] * len(self.basis)
+        for i, a in acc.items():
+            num[i] = a.numerator * (den // a.denominator)
+        return QuotientElement(self, num, den)
 
     def normal_form(self, poly: GradedPoly) -> GradedPoly:
         """`poly` modulo the ideal, written over the standard monomials."""
-        _check_ring(poly, self)
-        out: dict[Monomial, Fraction] = {}
-        for mono, c in poly.terms.items():
-            for std, v in self._form(mono):
-                nv = out.get(std, _ZERO) + c * v
-                if nv:
-                    out[std] = nv
-                else:
-                    del out[std]
-        return poly._like(out)
+        return self.element(poly).poly()
 
     def mul(self, a: GradedPoly, b: GradedPoly) -> GradedPoly:
-        """Normal form of `a * b`: the truncated product, rewritten by the memo."""
-        return self.normal_form(a * b)
+        """Normal form of `a * b`, multiplied in the quotient."""
+        return (self.element(a) * self.element(b)).poly()
+
+
+class QuotientElement:
+    """An element of the quotient: num[i] / den is the coefficient of `ring.basis[i]`.
+
+    Kept in lowest terms, den > 0 and gcd(den, *num) = 1, so equal
+    elements have equal fields.  Adds, subtracts and multiplies with
+    elements of the same ring, ints and Fractions.
+    """
+
+    __slots__ = ("ring", "num", "den")
+
+    def __init__(self, ring: IdealPresentation, num: list[int], den: int = 1) -> None:
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = [x // g for x in num], den // g
+        self.ring, self.num, self.den = ring, num, den
+
+    def _check(self, other: "QuotientElement") -> None:
+        if other.ring is not self.ring:
+            raise ValueError("elements live in different rings")
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self.ring.constant(other)
+        elif not isinstance(other, QuotientElement):
+            return NotImplemented
+        self._check(other)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        num = [x * fa + y * fb for x, y in zip(self.num, other.num)]
+        return QuotientElement(self.ring, num, den)
+
+    def __neg__(self):
+        return QuotientElement(self.ring, [-x for x in self.num], self.den)
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, QuotientElement) else -Fraction(other))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QuotientElement(
+                self.ring, [x * other.numerator for x in self.num], self.den * other.denominator
+            )
+        if not isinstance(other, QuotientElement):
+            return NotImplemented
+        self._check(other)
+        ring = self.ring
+        table, degrees, starts, top = ring._table, ring._degrees, ring._starts, ring.trunc
+        right = [(j, y) for j, y in enumerate(other.num) if y]
+        out = [0] * len(self.num)
+        for i, x in enumerate(self.num):
+            if not x:
+                continue
+            row, end = table[i], starts[top + 1 - degrees[i]]
+            for j, y in right:
+                if j >= end:
+                    break
+                entry = row[j]
+                if entry is None:
+                    entry = ring._constants(i, j)
+                xy = x * y
+                for k, c in entry:
+                    out[k] += xy * c
+        return QuotientElement(ring, out, self.den * other.den)
+
+    def __bool__(self) -> bool:
+        return any(self.num)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, QuotientElement)
+            and self.ring is other.ring
+            and self.num == other.num
+            and self.den == other.den
+        )
+
+    __hash__ = None
+
+    def exp(self) -> "QuotientElement":
+        """Truncated exponential; requires zero constant term."""
+        if self.num[0]:
+            raise ValueError("exp needs a zero constant term")
+        out = power = self.ring.constant(1)
+        for k in range(1, self.ring.trunc + 1):
+            power = power * self * Fraction(1, k)
+            if not power:
+                break
+            out = out + power
+        return out
+
+    def adams(self, k: int) -> "QuotientElement":
+        """Adams operation psi^k on a Chern character: scale degree i by k^i."""
+        scale = [k**i for i in range(self.ring.trunc + 1)]
+        num = [x * scale[d] for x, d in zip(self.num, self.ring._degrees)]
+        return QuotientElement(self.ring, num, self.den)
+
+    def pair(self, other: "QuotientElement") -> Fraction:
+        """Point-class value of `self * other`, as self . M . other."""
+        self._check(other)
+        ring = self.ring
+        starts, top = ring._starts, ring.trunc
+        x, y = self.num, other.num
+        total = 0
+        for j in range(top + 1):
+            ys = y[starts[top - j] : starts[top - j + 1]]
+            if any(ys) and any(x[starts[j] : starts[j + 1]]):
+                for a, row in enumerate(ring.pairing_matrix(j), starts[j]):
+                    if x[a]:
+                        total += x[a] * sum(map(mul, row, ys))
+        return Fraction(total, self.den * other.den)
+
+    def poly(self) -> GradedPoly:
+        """The element as a polynomial over the standard monomials: its normal form."""
+        ring = self.ring
+        terms = {ring.basis[i]: Fraction(x, self.den) for i, x in enumerate(self.num) if x}
+        return GradedPoly(ring.building.size, ring.trunc, terms)
+
+    def __repr__(self) -> str:
+        return repr(self.poly())
+
+
+def _monomial(nvars: int, exponents) -> Monomial:
+    """The monomial with the given (variable, exponent) pairs."""
+    mono = [0] * nvars
+    for v, e in exponents:
+        mono[v] = e
+    return tuple(mono)
+
+
+def _integral(form, where) -> tuple[tuple[int, int], ...]:
+    """A normal form with integer coefficients; a fraction is a broken presentation."""
+    if any(c.denominator != 1 for _, c in form):
+        raise StructureError(f"non-integral structure constant in the normal form of {where!r}")
+    return tuple((i, c.numerator) for i, c in form)
 
 
 def _support(mono: Monomial) -> frozenset[int]:
@@ -478,31 +687,14 @@ def _check_ring(poly: GradedPoly, ideal: IdealPresentation) -> None:
 
 def reduce_top(poly: GradedPoly, ideal: IdealPresentation) -> Fraction:
     """Coefficient of the point class in the top-degree part of `poly`."""
-    return pair_top(poly, GradedPoly.constant(1, poly.nvars, poly.trunc), ideal)
+    return ideal.element(poly).pair(ideal.constant(1))
 
 
 def pair_top(a: GradedPoly, b: GradedPoly, ideal: IdealPresentation) -> Fraction:
-    """`reduce_top(a * b, ideal)`, forming only the top-degree terms of the product.
-
-    Each top form is empty or a multiple of c_0^(n-1), which is
-    (-1)^(n-1) times the point class.
-    """
-    _check_ring(a, ideal)
-    _check_ring(b, ideal)
-    top = ideal.trunc
-    right = b._by_degree()
-    total = _ZERO
-    for ma, ca in a.terms.items():
-        acc = _ZERO
-        for mb, cb in right[top - sum(ma)]:
-            form = ideal._form(tuple(map(add, ma, mb)))
-            if form:
-                acc += cb * form[0][1]
-        if acc:
-            total += ca * acc
-    return total * (-1) ** top
+    """`reduce_top(a * b, ideal)`, paired in the quotient without forming `a * b`."""
+    return ideal.element(a).pair(ideal.element(b))
 
 
 def ideal_membership(poly: GradedPoly, ideal: IdealPresentation) -> bool:
     """Whether `poly` lies in the ideal: its normal form is zero."""
-    return not ideal.normal_form(poly).terms
+    return not ideal.element(poly)

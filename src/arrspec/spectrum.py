@@ -10,12 +10,14 @@ per building-set element.  Each candidate exponent alpha = k/d + p with
 evaluated against the class of a point.  Nonzero multiplicities form the
 spectrum; every candidate is an exact integer, which is asserted.
 
-Every class lives in the quotient ring, as a normal form over its
-standard monomials: the product ch * Todd is computed once per p and the
-exponential once per distinct vector of shifts, both cached on the
-`SpectrumSetup`, and each cell pairs the two with `pair_top`, forming
-only the top-degree part of their product.  The shifts are computed in
-integers, once per k and p.
+Every class is a `QuotientElement`, in the quotient ring over its
+standard-monomial basis.  The product ch * Todd is computed once per p,
+and the exponential of the divisor sum of shifts once per distinct
+vector of shifts, both cached on the `SpectrumSetup`; the divisor sum is
+an integer combination of the variables' degree-one normal forms.  Each
+cell pairs the two through the Poincare pairing matrices, as a . M . t,
+without forming their product.  The shifts are computed in integers,
+once per k.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .arrangement import (
 )
 from .chern import CharClasses, char_classes
 from .nested import BuildingSet, building_from_closures, maximal_building
-from .ring import GradedPoly, IdealPresentation, ideal_generators, pair_top
+from .ring import GradedPoly, IdealPresentation, QuotientElement, ideal_generators
 
 
 @dataclass(frozen=True)
@@ -67,16 +69,9 @@ def a_coeff(bs: BuildingSet, elem: int, eig: EigenData) -> int:
     return bs.codims[elem] - floor(s_value(bs, elem, eig)) - 1 + bump
 
 
-def _linear_form(coeffs, bs: BuildingSet) -> GradedPoly:
-    """The divisor sum of coeffs[v] * c_v, as a degree-1 polynomial."""
-    nv = bs.size
-    units = {tuple(int(j == v) for j in range(nv)): a for v, a in enumerate(coeffs) if a}
-    return GradedPoly(nv, bs.n - 1, units)
-
-
 def twist_exp(bs: BuildingSet, eig: EigenData) -> GradedPoly:
     """exp of the divisor with the integer twist coefficients, in the free ring."""
-    return _linear_form([a_coeff(bs, v, eig) for v in range(bs.size)], bs).exp()
+    return GradedPoly.linear([a_coeff(bs, v, eig) for v in range(bs.size)], bs.n - 1).exp()
 
 
 def _check_p(p: int, n: int) -> None:
@@ -106,10 +101,10 @@ class SpectrumSetup:
     quotient: CharClasses
     _classes: CharClasses | None = field(default=None, init=False, repr=False, compare=False)
     # per-cell factors, filled on first use
-    _ch_todd: dict[int, GradedPoly] = field(
+    _ch_todd: dict[int, QuotientElement] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _twists: dict[tuple[int, ...], GradedPoly] = field(
+    _twists: dict[tuple[int, ...], QuotientElement] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -128,12 +123,12 @@ class SpectrumSetup:
             self._classes = char_classes(self.building)
         return self._classes
 
-    def ch_todd(self, q: int) -> GradedPoly:
+    def ch_todd(self, q: int) -> QuotientElement:
         """ch(dual q-th exterior power) * Todd in the quotient, computed once per q."""
         got = self._ch_todd.get(q)
         if got is None:
             cl = self.quotient
-            got = self._ch_todd[q] = self.ideal.mul(cl.dual_ch[q], cl.todd)
+            got = self._ch_todd[q] = cl.dual_ch[q] * cl.todd
         return got
 
     def twist_key(self, k: int) -> tuple[int, ...]:
@@ -150,7 +145,7 @@ class SpectrumSetup:
             bs.codims[v] - sum(r[i] for i in bs.closures[v]) // d - 1 for v in range(1, bs.size)
         )
 
-    def twist(self, k: int) -> GradedPoly:
+    def twist(self, k: int) -> QuotientElement:
         """`twist_exp` of the k-th eigenvalue in the quotient, computed once per twist vector.
 
         Raises ValueError for k outside 1..degree.
@@ -158,8 +153,7 @@ class SpectrumSetup:
         key = self.twist_key(k)
         got = self._twists.get(key)
         if got is None:
-            lin = _linear_form(key, self.building)
-            got = self._twists[key] = lin.exp(self.ideal.mul)
+            got = self._twists[key] = self.ideal.linear(key).exp()
         return got
 
 
@@ -180,8 +174,13 @@ def multiplicity(setup: SpectrumSetup, k: int, p: int) -> int:
         raise ValueError("the exponent n is excluded from the spectrum")
     twist = setup.twist(k)
     _check_p(p, n)
-    q = n - 1 - p
-    value = pair_top(setup.ch_todd(q), twist, setup.ideal) * (-1) ** q
+    return _pair_cell(setup, twist, k, p)
+
+
+def _pair_cell(setup: SpectrumSetup, twist: QuotientElement, k: int, p: int) -> int:
+    """The multiplicity of k/d + p, given the k-th twist; no range checks."""
+    q = setup.n - 1 - p
+    value = setup.ch_todd(q).pair(twist) * (-1) ** q
     if value.denominator != 1:
         raise StructureError(
             f"non-integral multiplicity {value} at k={k}, p={p}"
@@ -211,12 +210,13 @@ class SpectrumResult:
 
 def spectrum_from_setup(setup: SpectrumSetup) -> SpectrumResult:
     n, d = setup.n, setup.degree
-    points = [
-        SpectralPoint(Fraction(k, d) + p, m, k, p)
-        for k in range(1, d + 1)
-        for p in range(n)
-        if not (k == d and p == n - 1) and (m := multiplicity(setup, k, p))
-    ]
+    points = []
+    for k in range(1, d + 1):
+        twist = setup.twist(k)
+        # the exponent n (k = d, p = n - 1) is excluded
+        for p in range(n - (k == d)):
+            if m := _pair_cell(setup, twist, k, p):
+                points.append(SpectralPoint(Fraction(k, d) + p, m, k, p))
     points.sort(key=lambda pt: pt.alpha)
 
     warnings = []

@@ -1,16 +1,20 @@
-"""The quotient ring: normal forms, the memoized product, and the classes in it.
+"""The quotient ring: normal forms, the structure-constant product, and the classes in it.
 
 The free-ring classes and the ideal's generators are the oracles: every
-quotient class must be the normal form of its free-ring twin, `mul` must
-agree with reducing the free product, and the normal form must kill every
-generator.
+quotient class must be the normal form of its free-ring twin, the product
+of elements must agree with rewriting the free product monomial by
+monomial, and the normal form must kill every generator.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+from fractions import Fraction
 from itertools import combinations
+from math import gcd
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +23,7 @@ from test_ring import TERNARY, building_closure
 from arrspec import (
     Arrangement,
     GradedPoly,
+    StructureError,
     build_lattice,
     building_from_closures,
     char_classes,
@@ -27,6 +32,7 @@ from arrspec import (
     ideal_membership,
     maximal_building,
     monomials_of_degree,
+    multiplicity,
     prepare,
     reduce_top,
     run_checks,
@@ -35,6 +41,7 @@ from arrspec import (
 )
 from arrspec import cli, ring
 from arrspec.fixtures import resolve_fixture
+from arrspec.linalg import EchelonBasis
 
 
 def standard(ideal, j):
@@ -61,18 +68,26 @@ def random_poly(rng, nv, trunc, count):
     return GradedPoly(nv, trunc, terms)
 
 
+def monomial_element(ideal, mono):
+    return ideal.element(GradedPoly(ideal.building.size, ideal.trunc, {mono: 1}))
+
+
 def assert_quotient_classes(bs):
     ideal = ideal_generators(bs)
     free, quotient = char_classes(bs), char_classes(bs, ideal)
     for f, q in zip(class_list(free), class_list(quotient)):
-        assert ideal.normal_form(f) == q
+        assert ideal.normal_form(f) == q.poly()
+    # products of dense elements against the rewritten free product
+    frees = class_list(free)
+    for f, g in zip(frees, frees[1:]):
+        assert ideal.element(f) * ideal.element(g) == ideal.element(f * g)
 
 
 def test_quotient_classes_are_normal_forms_of_free_classes(setups):
     for name, setup in setups.items():
         nf = setup.ideal.normal_form
         for f, q in zip(class_list(setup.classes), class_list(setup.quotient)):
-            assert nf(f) == q, name
+            assert nf(f) == q.poly(), name
 
 
 def draw_lattice(data, most_in_c4):
@@ -138,13 +153,115 @@ def test_mul_is_the_product_in_the_quotient(setups):
             assert ideal.mul(nf(a), nf(b)) == nf(a * b), name
 
 
+def braid_a4_ideals():
+    """The braid A4 quotient for the maximal and the minimal building set: C^4,
+    where products of three degree-one elements reach the top degree."""
+    arr, closures = braid_a4()
+    lattice = build_lattice(arr)
+    return [
+        ideal_generators(maximal_building(lattice)),
+        ideal_generators(building_from_closures(lattice, closures)),
+    ]
+
+
+def random_nested_poly(rng, ideal, count):
+    """Random polynomial over monomials of nested support, which need not be standard."""
+    terms = {}
+    for _ in range(count):
+        monos = ideal.monomials[rng.randint(0, ideal.trunc)]
+        terms[rng.choice(monos)] = rng.randint(-3, 3)
+    return GradedPoly(ideal.building.size, ideal.trunc, terms)
+
+
+def test_element_product_is_the_normal_form_of_the_free_product(setups):
+    rng = random.Random(7)
+
+    def any_support(ideal):
+        return random_poly(rng, ideal.building.size, ideal.trunc, 6)
+
+    cases = [(name, s.ideal, any_support) for name, s in setups.items()]
+    cases += [("braid A4", i, lambda i: random_nested_poly(rng, i, 8)) for i in braid_a4_ideals()]
+    for name, ideal, draw in cases:
+        for _ in range(20):
+            a, b = draw(ideal), draw(ideal)
+            product = ideal.element(a) * ideal.element(b)
+            assert product == ideal.element(a * b), name
+            assert product.poly() == ideal.normal_form(a * b), name
+
+
+def test_structure_constants_are_integral_commutative_and_associative(setups):
+    rng = random.Random(3)
+    for ideal in [s.ideal for s in setups.values()] + braid_a4_ideals():
+        basis = [monomial_element(ideal, m) for m in ideal.basis]
+        for x in basis:
+            for y in basis:
+                assert x * y == y * x
+        for row in ideal._table:
+            for entry in row:
+                assert entry is None or all(type(c) is int for _, c in entry)
+        # triples of positive degree whose product can reach the top degree
+        positive = list(zip(ideal.basis, basis))[1:]
+        triples = [
+            t
+            for t in (rng.choices(positive, k=3) for _ in range(2000))
+            if sum(map(sum, (m for m, _ in t))) <= ideal.trunc
+        ][:200]
+        assert triples or ideal.trunc < 3
+        for (_, x), (_, y), (_, z) in triples:
+            assert (x * y) * z == x * (y * z)
+
+
+def test_elements_are_kept_in_lowest_terms(setups):
+    for name, setup in setups.items():
+        cl = setup.quotient
+        for x in (cl.todd, *cl.dual_ch, setup.ch_todd(0), setup.twist(1)):
+            assert x.den > 0 and gcd(x.den, *x.num) == 1, name
+            assert x * Fraction(2, 3) * Fraction(3, 2) == x, name
+            assert (x + x) * Fraction(1, 2) == x, name
+            assert x - x == x * 0 == setup.ideal.constant(0), name
+
+
+def test_non_integral_structure_constant_raises_structure_error():
+    # a fresh ideal, whose table is still empty; halve the memoized form of x^2
+    ideal = ideal_generators(prepare(resolve_fixture("example-b1")).building)
+    x = ideal.basis[1]
+    ideal._forms[tuple(2 * e for e in x)] = ((len(ideal.basis) - 1, Fraction(1, 2)),)
+    with pytest.raises(StructureError):
+        monomial_element(ideal, x) * monomial_element(ideal, x)
+
+
+def assert_poincare_duality(ideal):
+    ranks, top = ideal.quotient_ranks, ideal.trunc
+    nv = ideal.building.size
+    starts = [sum(ranks[:j]) for j in range(top + 1)]
+    for j in range(top + 1):
+        matrix = ideal.pairing_matrix(j)
+        assert len(matrix) == ranks[j] == ranks[top - j]
+        assert all(len(row) == ranks[top - j] for row in matrix)
+        assert [list(col) for col in zip(*matrix)] == ideal.pairing_matrix(top - j)
+        span = EchelonBasis()
+        for row in matrix:
+            span.insert({b: Fraction(c) for b, c in enumerate(row) if c})
+        assert span.rank == ranks[j]
+        # each entry is the point-class value of the free product of its monomials
+        for a, row in enumerate(matrix, starts[j]):
+            x = GradedPoly(nv, top, {ideal.basis[a]: 1})
+            for b, value in enumerate(row, starts[top - j]):
+                assert value == reduce_top(x * GradedPoly(nv, top, {ideal.basis[b]: 1}), ideal)
+
+
+def test_pairing_matrices_are_poincare_dual(setups):
+    for ideal in [s.ideal for s in setups.values()] + braid_a4_ideals():
+        assert_poincare_duality(ideal)
+
+
 def test_corrupted_quotient_class_fails_the_cross_route_check(setups):
     setup = setups["example-b1"]
     result = spectrum_from_setup(setup)
     assert all(c.passed for c in run_checks(setup, result))
     cl = setup.quotient
     extra = GradedPoly(setup.building.size, setup.n - 1, {standard(setup.ideal, 1)[0]: 1})
-    dual_ch = (cl.dual_ch[0], cl.dual_ch[1] + extra, *cl.dual_ch[2:])
+    dual_ch = (cl.dual_ch[0], cl.dual_ch[1] + setup.ideal.element(extra), *cl.dual_ch[2:])
     broken = dataclasses.replace(setup, quotient=dataclasses.replace(cl, dual_ch=dual_ch))
     (cross,) = [c for c in run_checks(broken, result) if c.name == "chern character cross-route"]
     assert not cross.passed
@@ -189,6 +306,27 @@ def test_generators_are_never_built_on_the_spectrum_path(monkeypatch, capsys):
     assert len(built["nested_set_generators"]) == 1
     assert ideal.monomials
     assert len(built["_nested_monomials"]) == ideal.trunc + 1
+
+
+def test_free_ring_products_are_never_formed_on_the_spectrum_path(monkeypatch):
+    calls = []
+    for name in ("__mul__", "__rmul__"):
+        original = getattr(GradedPoly, name)
+
+        def counted(self, other, name=name, original=original):
+            calls.append(name)
+            return original(self, other)
+
+        monkeypatch.setattr(GradedPoly, name, counted)
+    spectrum(resolve_fixture("example-b1"))
+    setup = prepare(resolve_fixture("generic3d:5"))
+    for k in range(1, setup.degree + 1):
+        for p in range(setup.n - (k == setup.degree)):
+            multiplicity(setup, k, p)
+    assert calls == []
+    # the wrappers are the products the free-ring classes call
+    assert setup.classes.todd
+    assert calls
 
 
 def braid_a4():
