@@ -33,9 +33,6 @@ from .ring import (
     IdealPresentation,
     QuotientElement,
     ideal_generators,
-    ideal_membership,
-    monomials_of_degree,
-    pair_top,
     reduce_top,
 )
 from .spectrum import (
@@ -83,12 +80,9 @@ __all__ = [
     "enumerate_nested",
     "euler_projective_complement",
     "ideal_generators",
-    "ideal_membership",
     "is_nested",
     "maximal_building",
-    "monomials_of_degree",
     "multiplicity",
-    "pair_top",
     "plane_curve_oracle",
     "prepare",
     "q_series",

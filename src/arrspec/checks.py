@@ -54,12 +54,11 @@ def _check_euler(setup: SpectrumSetup, result: SpectrumResult) -> CheckResult:
 
 
 def _check_cross_route(setup: SpectrumSetup) -> CheckResult:
-    classes, element = setup.quotient, setup.ideal.element
-    log_chern = classes.log_chern.poly()
+    classes = setup.quotient
     bad = [
         p
         for p in range(setup.n)
-        if classes.dual_ch[p] != element(ch_dual_exterior_roots(setup.building, p, log_chern))
+        if classes.dual_ch[p] != ch_dual_exterior_roots(setup.building, p, classes.log_chern)
     ]
     detail = f"exterior powers 0..{setup.n - 1} via Adams operations vs direct root expansion"
     if bad:

@@ -31,9 +31,7 @@ the spectrum reads neither.
 `ch_dual_exterior_roots` is kept as an independent route to the same
 Chern characters: it expands the exponential sums over formal roots,
 rewrites them in elementary symmetric functions and substitutes the
-graded parts of the log Chern class.  The two agree as free-ring
-polynomials, so their classes in the quotient agree as well; the
-verification harness compares them there.
+graded parts of the log Chern class, in whichever ring that class lives.
 """
 
 from __future__ import annotations
@@ -78,25 +76,6 @@ def series_log(coeffs: list[Fraction]) -> list[Fraction]:
     for k in range(1, len(coeffs)):
         rest = sum((i * out[i] * coeffs[k - i] for i in range(1, k)), _ZERO)
         out.append(coeffs[k] - rest / k)
-    return out
-
-
-def series_apply(coeffs: list[Fraction], z: GradedPoly) -> GradedPoly:
-    """Evaluate a power series with the given coefficients at `z`.
-
-    `z` must have zero constant term, so the composition is finite in the
-    truncated ring.
-    """
-    if z.constant_term:
-        raise ValueError("series composition needs a zero constant term")
-    out = GradedPoly.constant(coeffs[0], z.nvars, z.trunc)
-    power = GradedPoly.constant(1, z.nvars, z.trunc)
-    for k in range(1, min(len(coeffs), z.trunc + 1)):
-        power = power * z
-        if not power.terms:
-            break
-        if coeffs[k]:
-            out = out + power * coeffs[k]
     return out
 
 
@@ -197,24 +176,24 @@ def char_classes(bs: BuildingSet, ideal: IdealPresentation | None = None) -> Cha
     return CharClasses(bs, todd, tuple(dual_ch), tuple(tangent), tuple(dual_log))
 
 
-def ch_dual_exterior_roots(bs: BuildingSet, p: int, log_chern: GradedPoly) -> GradedPoly:
+def ch_dual_exterior_roots(bs: BuildingSet, p: int, log_chern: Element) -> Element:
     """Chern character of the dual of the p-th exterior power of the log forms.
 
     Sums exp(-(sum of p distinct roots)) over all subsets of m = n-1
     formal roots, rewrites the symmetric result in the elementary basis
     by stripping lexicographically leading terms, and substitutes the
     graded parts of `log_chern` for the elementary symmetric functions.
-    Kept as an independent check of `char_classes`; the two are equal in
-    the free truncated ring, and so are their normal forms.
+    Kept as an independent check of `char_classes`; the result lives in
+    the ring of `log_chern`, free or quotient, and equals the class there.
     """
-    nv, m = bs.size, bs.n - 1
+    m = bs.n - 1
     roots = [GradedPoly.variable(i, m, m) for i in range(m)]
     one, zero = GradedPoly.constant(1, m, m), GradedPoly.zero(m, m)
     elementary = reduce(mul, (one + x for x in roots)).graded_parts()
     h_parts = log_chern.graded_parts()
 
     work = sum(((-sum(combo, zero)).exp() for combo in combinations(roots, p)), zero)
-    out = GradedPoly.zero(nv, m)
+    out = h_zero = log_chern * 0
     while work.terms:
         lead = max(work.terms)
         if any(lead[i] < lead[i + 1] for i in range(m - 1)):
@@ -222,7 +201,7 @@ def ch_dual_exterior_roots(bs: BuildingSet, p: int, log_chern: GradedPoly) -> Gr
         coeff = work.terms[lead]
         # e_1^(l_1 - l_2) * e_2^(l_2 - l_3) * ... * e_m^(l_m) leads with `lead`
         exps = [lead[i] - (lead[i + 1] if i + 1 < m else 0) for i in range(m)]
-        expansion, term = one, GradedPoly.constant(coeff, nv, m)
+        expansion, term = one, h_zero + coeff
         for j, e in enumerate(exps, start=1):
             for _ in range(e):
                 expansion = expansion * elementary[j]

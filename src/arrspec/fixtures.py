@@ -46,6 +46,10 @@ def _generic3d(m: int) -> Arrangement:
     return Arrangement.from_normals(3, [(1, t, t * t) for t in range(m)])
 
 
+# the largest parameter of each parametric fixture: `Arrangement` compares
+# every pair of normals, and the spectrum's layers grow faster still
+FIXTURE_LIMITS = {"lines:": 1000, "generic3d:": 30}
+
 _NAMED = {
     "example-a": _three_lines,
     "example-a-weighted": _three_lines_weighted,
@@ -69,5 +73,8 @@ def resolve_fixture(name: str) -> Arrangement | None:
                 count = int(raw)
             except ValueError:
                 raise ValidationError(f"fixture {name!r}: {raw!r} is not an integer") from None
+            limit = FIXTURE_LIMITS[prefix]
+            if count > limit:
+                raise ValidationError(f"fixture {name!r}: the limit is {prefix}{limit}")
             return builder(count)
     return None

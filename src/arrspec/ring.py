@@ -23,10 +23,6 @@ integers.  The top-degree quotient has rank one, spanned by c_0^(n-1),
 which is (-1)^(n-1) times the class of a point; the pairing matrices M_j
 give the point-class value of a degree-j basis monomial times a
 degree-(n-1-j) one, and an element pairs with another as a . M . b.
-
-`normal_form`, `mul`, `pair_top`, `reduce_top` and `ideal_membership`
-take and give `GradedPoly`s; each converts through `element` and
-`QuotientElement.poly` and runs in the quotient.
 """
 
 from __future__ import annotations
@@ -152,10 +148,8 @@ class GradedPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "GradedPoly":
-        if not isinstance(k, int):
-            raise ValueError("exponent must be an integer")
-        if k < 0:
-            return self.geom_inv() ** (-k)
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("exponent must be a non-negative integer")
         result = GradedPoly.constant(1, self.nvars, self.trunc)
         base = self
         while k:
@@ -180,22 +174,6 @@ class GradedPoly:
     @property
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.nvars, _ZERO)
-
-    def geom_inv(self) -> "GradedPoly":
-        """Multiplicative inverse, by geometric series on the non-constant part."""
-        a = self.constant_term
-        if not a:
-            raise ValueError("constant term has no rational inverse")
-        rest = self - a  # strictly positive degrees
-        step = rest * (-1 / a)
-        out = GradedPoly.constant(1 / a, self.nvars, self.trunc)
-        power = GradedPoly.constant(1 / a, self.nvars, self.trunc)
-        for _ in range(self.trunc):
-            power = power * step
-            if not power.terms:
-                break
-            out = out + power
-        return out
 
     def exp(self) -> "GradedPoly":
         """Truncated exponential; requires zero constant term."""
@@ -226,10 +204,6 @@ class GradedPoly:
     def degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -250,18 +224,6 @@ class GradedPoly:
                 bits.append(f"{c}*{body}")
         out = " + ".join(bits).replace("+ -", "- ")
         return out
-
-
-def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
-    """Degree-`degree` monomials, lexicographically largest first."""
-    out = []
-    for combo in combinations_with_replacement(range(nvars), degree):
-        mono = [0] * nvars
-        for i in combo:
-            mono[i] += 1
-        out.append(tuple(mono))
-    out.sort(reverse=True)
-    return out
 
 
 class IdealPresentation:
@@ -458,7 +420,8 @@ class IdealPresentation:
 
     def element(self, poly: GradedPoly) -> "QuotientElement":
         """The class of `poly` in the quotient."""
-        _check_ring(poly, self)
+        if poly.nvars != self.building.size or poly.trunc != self.trunc:
+            raise ValueError("polynomial does not match the ideal's ring")
         acc: dict[int, Fraction] = {}
         for mono, c in poly.terms.items():
             for i, v in self._form(mono):
@@ -468,14 +431,6 @@ class IdealPresentation:
         for i, a in acc.items():
             num[i] = a.numerator * (den // a.denominator)
         return QuotientElement(self, num, den)
-
-    def normal_form(self, poly: GradedPoly) -> GradedPoly:
-        """`poly` modulo the ideal, written over the standard monomials."""
-        return self.element(poly).poly()
-
-    def mul(self, a: GradedPoly, b: GradedPoly) -> GradedPoly:
-        """Normal form of `a * b`, multiplied in the quotient."""
-        return (self.element(a) * self.element(b)).poly()
 
 
 class QuotientElement:
@@ -572,6 +527,14 @@ class QuotientElement:
         scale = [k**i for i in range(self.ring.trunc + 1)]
         num = [x * scale[d] for x, d in zip(self.num, self.ring._degrees)]
         return QuotientElement(self.ring, num, self.den)
+
+    def graded_parts(self) -> list["QuotientElement"]:
+        """The degree-j parts, j = 0 .. n-1: the slices of `num` between the degree starts."""
+        starts, num = self.ring._starts, self.num
+        return [
+            QuotientElement(self.ring, [0] * a + num[a:b] + [0] * (len(num) - b), self.den)
+            for a, b in zip(starts, starts[1:])
+        ]
 
     def pair(self, other: "QuotientElement") -> Fraction:
         """Point-class value of `self * other`, as self . M . other."""
@@ -680,21 +643,6 @@ def ideal_generators(bs: BuildingSet) -> IdealPresentation:
     return ideal
 
 
-def _check_ring(poly: GradedPoly, ideal: IdealPresentation) -> None:
-    if poly.nvars != ideal.building.size or poly.trunc != ideal.trunc:
-        raise ValueError("polynomial does not match the ideal's ring")
-
-
 def reduce_top(poly: GradedPoly, ideal: IdealPresentation) -> Fraction:
     """Coefficient of the point class in the top-degree part of `poly`."""
     return ideal.element(poly).pair(ideal.constant(1))
-
-
-def pair_top(a: GradedPoly, b: GradedPoly, ideal: IdealPresentation) -> Fraction:
-    """`reduce_top(a * b, ideal)`, paired in the quotient without forming `a * b`."""
-    return ideal.element(a).pair(ideal.element(b))
-
-
-def ideal_membership(poly: GradedPoly, ideal: IdealPresentation) -> bool:
-    """Whether `poly` lies in the ideal: its normal form is zero."""
-    return not ideal.element(poly)

@@ -45,11 +45,16 @@ class EigenData:
     residues: tuple[Fraction, ...]
 
 
+def _check_index(what: str, value, lo: int, hi: int) -> None:
+    """ValueError unless `value` is an int, not a bool, in lo..hi."""
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+        raise ValueError(f"{what} {value!r} must be an integer in {lo}..{hi}")
+
+
 def beta(arrangement: Arrangement, k: int) -> EigenData:
     """Residue data for the k-th eigenvalue, 1 <= k <= degree."""
     d = arrangement.degree
-    if not 1 <= k <= d:
-        raise ValueError(f"eigenvalue index {k} out of range 1..{d}")
+    _check_index("eigenvalue index", k, 1, d)
     res = tuple(Fraction(-k * h.mult, d) % 1 for h in arrangement.hyperplanes)
     if sum(res).denominator != 1:
         raise StructureError("eigenvalue residues do not sum to an integer")
@@ -74,15 +79,10 @@ def twist_exp(bs: BuildingSet, eig: EigenData) -> GradedPoly:
     return GradedPoly.linear([a_coeff(bs, v, eig) for v in range(bs.size)], bs.n - 1).exp()
 
 
-def _check_p(p: int, n: int) -> None:
-    if not 0 <= p <= n - 1:
-        raise ValueError(f"integer part {p} out of range 0..{n - 1}")
-
-
 def r_alpha(classes: CharClasses, eig: EigenData, p: int) -> GradedPoly:
     """Integrand class for the exponent k/d + p, before the Todd factor."""
     n = classes.building.n
-    _check_p(p, n)
+    _check_index("integer part", p, 0, n - 1)
     return classes.dual_ch[n - 1 - p] * twist_exp(classes.building, eig)
 
 
@@ -135,11 +135,10 @@ class SpectrumSetup:
         """`a_coeff` of every element for the k-th eigenvalue, in integers.
 
         With r_i = (-k * m_i) mod d, floor(s_v) is (sum of r_i over v) // d.
-        Raises ValueError for k outside 1..degree.
+        Raises ValueError unless k is an int in 1..degree.
         """
         d, bs = self.degree, self.building
-        if not 1 <= k <= d:
-            raise ValueError(f"eigenvalue index {k} out of range 1..{d}")
+        _check_index("eigenvalue index", k, 1, d)
         r = [(-k * h.mult) % d for h in self.arrangement.hyperplanes]
         return (bs.n - sum(r) // d,) + tuple(
             bs.codims[v] - sum(r[i] for i in bs.closures[v]) // d - 1 for v in range(1, bs.size)
@@ -148,7 +147,7 @@ class SpectrumSetup:
     def twist(self, k: int) -> QuotientElement:
         """`twist_exp` of the k-th eigenvalue in the quotient, computed once per twist vector.
 
-        Raises ValueError for k outside 1..degree.
+        Raises ValueError unless k is an int in 1..degree.
         """
         key = self.twist_key(k)
         got = self._twists.get(key)
@@ -173,7 +172,7 @@ def multiplicity(setup: SpectrumSetup, k: int, p: int) -> int:
     if k == d and p == n - 1:
         raise ValueError("the exponent n is excluded from the spectrum")
     twist = setup.twist(k)
-    _check_p(p, n)
+    _check_index("integer part", p, 0, n - 1)
     return _pair_cell(setup, twist, k, p)
 
 

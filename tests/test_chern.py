@@ -7,12 +7,34 @@ from arrspec import (
     Arrangement,
     GradedPoly,
     ch_dual_exterior_roots,
-    ideal_membership,
     prepare,
     q_series,
     reduce_top,
 )
-from arrspec.chern import series_apply, series_log, tangent_roots
+from arrspec.chern import series_log, tangent_roots
+from test_quotient import braid_a4
+
+
+def series_apply(coeffs, z):
+    """Evaluate a power series with the given coefficients at `z`, of zero constant term."""
+    out = GradedPoly.constant(coeffs[0], z.nvars, z.trunc)
+    power = GradedPoly.constant(1, z.nvars, z.trunc)
+    for c in coeffs[1 : z.trunc + 1]:
+        power = power * z
+        out = out + power * c
+    return out
+
+
+def signed_power(u, m):
+    """`u ** m` for any integer m, for u of constant term 1: its inverse is the
+    geometric series in 1 - u, which is finite in the truncated ring."""
+    if m >= 0:
+        return u**m
+    inv = power = GradedPoly.constant(1, u.nvars, u.trunc)
+    for _ in range(u.trunc):
+        power = power * (1 - u)
+        inv = inv + power
+    return inv**-m
 
 
 def test_q_series_frozen_values():
@@ -90,11 +112,11 @@ def test_three_lines_classes_mod_ideal():
     c, one = _vars(THREE_LINES)
     ideal = THREE_LINES.ideal
     cl = THREE_LINES.classes
-    assert ideal_membership(cl.total - (one - 2 * c[0]), ideal)
-    assert ideal_membership(cl.todd - (one - c[0]), ideal)
+    assert not ideal.element(cl.total - (one - 2 * c[0]))
+    assert not ideal.element(cl.todd - (one - c[0]))
     # mod I every line variable collapses to -c0
-    assert ideal_membership(cl.log_chern - (one - c[0]), ideal)
-    assert ideal_membership(cl.dual_ch[1] - (one + c[0]), ideal)
+    assert not ideal.element(cl.log_chern - (one - c[0]))
+    assert not ideal.element(cl.dual_ch[1] - (one + c[0]))
 
 
 def test_quartic_classes_mod_ideal():
@@ -104,19 +126,14 @@ def test_quartic_classes_mod_ideal():
     lines = [i for i in range(1, 7)]
     sB = c[1] + c[2] + c[3] + c[4] + c[5] + c[6]
     assert {QUARTIC.building.dims[i] for i in lines} == {1}
-    assert ideal_membership(cl.total - (9 * c[0] ** 2 - sB - 3 * c[0] + one), ideal)
-    assert ideal_membership(
-        cl.todd - (c[0] ** 2 - Fraction(1, 2) * sB - Fraction(3, 2) * c[0] + one),
-        ideal,
+    assert not ideal.element(cl.total - (9 * c[0] ** 2 - sB - 3 * c[0] + one))
+    assert not ideal.element(
+        cl.todd - (c[0] ** 2 - Fraction(1, 2) * sB - Fraction(3, 2) * c[0] + one)
     )
-    assert ideal_membership(cl.log_chern - (c[0] ** 2 - c[0] + one), ideal)
+    assert not ideal.element(cl.log_chern - (c[0] ** 2 - c[0] + one))
     assert cl.dual_ch[0] == one
-    assert ideal_membership(
-        cl.dual_ch[1] - (-Fraction(1, 2) * c[0] ** 2 + c[0] + 2 * one), ideal
-    )
-    assert ideal_membership(
-        cl.dual_ch[2] - (Fraction(1, 2) * c[0] ** 2 + c[0] + one), ideal
-    )
+    assert not ideal.element(cl.dual_ch[1] - (-Fraction(1, 2) * c[0] ** 2 + c[0] + 2 * one))
+    assert not ideal.element(cl.dual_ch[2] - (Fraction(1, 2) * c[0] ** 2 + c[0] + one))
 
 
 def test_todd_integrates_to_one_on_quartic_resolution(setups):
@@ -132,8 +149,8 @@ def test_classes_equal_products_over_tangent_roots(setups):
         q = q_series(setup.n - 1)
         total = todd = GradedPoly.constant(1, bs.size, setup.n - 1)
         for m, x in tangent_roots(bs):
-            total = total * (1 + x) ** m
-            todd = todd * series_apply(q, x) ** m
+            total = total * signed_power(1 + x, m)
+            todd = todd * signed_power(series_apply(q, x), m)
         assert cl.total == total
         assert cl.todd == todd
 
@@ -143,7 +160,7 @@ def test_single_hyperplane_is_projective_plane():
     c, one = _vars(SINGLE)
     ideal = SINGLE.ideal
     cl = SINGLE.classes
-    assert ideal_membership(cl.total - (one - c[0]) ** 3, ideal)
+    assert not ideal.element(cl.total - (one - c[0]) ** 3)
     assert reduce_top(cl.todd, ideal) == 1
 
 
@@ -160,6 +177,12 @@ def test_chern_character_cross_route():
         for p in range(setup.n):
             direct = ch_dual_exterior_roots(bs, p, cl.log_chern)
             assert cl.dual_ch[p] == direct
+    # the same route on the quotient class, also on braid A4 with both building sets
+    arr, closures = braid_a4()
+    for setup in (THREE_LINES, QUARTIC, SINGLE, prepare(arr), prepare(arr, closures)):
+        q = setup.quotient
+        for p in range(setup.n):
+            assert ch_dual_exterior_roots(setup.building, p, q.log_chern) == q.dual_ch[p]
 
 
 def test_chern_character_ranks_sum_to_euler_of_exterior_algebra():

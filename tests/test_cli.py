@@ -4,10 +4,11 @@ import json
 
 import pytest
 
+import arrspec
 from arrspec.cli import main
 from arrspec.docio import parse_input, parse_output, render, result_to_dict
 from arrspec.spectrum import spectrum
-from arrspec.fixtures import resolve_fixture
+from arrspec.fixtures import FIXTURE_LIMITS, resolve_fixture
 from arrspec.arrangement import ValidationError
 
 
@@ -102,6 +103,30 @@ def test_unknown_fixture_integer(capsys):
     code, _, err = run(capsys, "compute", "lines:x")
     assert code == 1
     assert "not an integer" in err
+
+
+def test_fixture_parameters_are_bounded(capsys):
+    for prefix, limit in FIXTURE_LIMITS.items():
+        code, _, err = run(capsys, "lattice", f"{prefix}{limit + 1}")
+        assert code == 1
+        assert f"the limit is {prefix}{limit}" in err
+    code, _, err = run(capsys, "compute", "lines:100000")
+    assert code == 1
+    assert "the limit is lines:" in err
+    # the largest fixtures that tests, demos and docs use stay accepted
+    assert len(resolve_fixture("lines:100").hyperplanes) == 100
+    assert len(resolve_fixture("generic3d:20").hyperplanes) == 20
+    most = FIXTURE_LIMITS["generic3d:"]
+    assert len(resolve_fixture(f"generic3d:{most}").hyperplanes) == most
+
+
+def test_package_exports_resolve():
+    names = arrspec.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(arrspec, name)] == []
+    namespace = {}
+    exec("from arrspec import *", namespace)
+    assert set(names) <= set(namespace)
 
 
 def test_jobs_deterministic_bytes(capsys):

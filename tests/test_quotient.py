@@ -18,7 +18,7 @@ import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_ring import TERNARY, building_closure
+from test_ring import TERNARY, building_closure, monomials_of_degree
 
 from arrspec import (
     Arrangement,
@@ -29,9 +29,7 @@ from arrspec import (
     char_classes,
     enumerate_nested,
     ideal_generators,
-    ideal_membership,
     maximal_building,
-    monomials_of_degree,
     multiplicity,
     prepare,
     reduce_top,
@@ -49,7 +47,7 @@ def standard(ideal, j):
     nv, trunc = ideal.building.size, ideal.trunc
 
     def fixed(m):
-        return ideal.normal_form(GradedPoly(nv, trunc, {m: 1})).terms == {m: 1}
+        return ideal.element(GradedPoly(nv, trunc, {m: 1})).poly().terms == {m: 1}
 
     return [m for m in ideal.monomials[j] if fixed(m)]
 
@@ -76,7 +74,7 @@ def assert_quotient_classes(bs):
     ideal = ideal_generators(bs)
     free, quotient = char_classes(bs), char_classes(bs, ideal)
     for f, q in zip(class_list(free), class_list(quotient)):
-        assert ideal.normal_form(f) == q.poly()
+        assert ideal.element(f).poly() == q.poly()
     # products of dense elements against the rewritten free product
     frees = class_list(free)
     for f, g in zip(frees, frees[1:]):
@@ -85,9 +83,8 @@ def assert_quotient_classes(bs):
 
 def test_quotient_classes_are_normal_forms_of_free_classes(setups):
     for name, setup in setups.items():
-        nf = setup.ideal.normal_form
         for f, q in zip(class_list(setup.classes), class_list(setup.quotient)):
-            assert nf(f) == q.poly(), name
+            assert setup.ideal.element(f).poly() == q.poly(), name
 
 
 def draw_lattice(data, most_in_c4):
@@ -118,12 +115,12 @@ def test_normal_form_kills_the_ideal_and_non_nested_monomials(setups):
         nv, trunc = bs.size, setup.n - 1
         zero = GradedPoly.zero(nv, trunc)
         for g in ideal.generators:
-            assert ideal.normal_form(g) == zero, (name, g)
+            assert ideal.element(g).poly() == zero, (name, g)
         nested = set(enumerate_nested(bs, trunc))
         for j in range(trunc + 1):
             for mono in monomials_of_degree(nv, j):
                 if frozenset(i for i, e in enumerate(mono) if e and i) not in nested:
-                    assert ideal.normal_form(GradedPoly(nv, trunc, {mono: 1})) == zero
+                    assert ideal.element(GradedPoly(nv, trunc, {mono: 1})).poly() == zero
 
 
 def test_normal_form_is_a_projection_onto_the_standard_monomials(setups):
@@ -134,10 +131,10 @@ def test_normal_form_is_a_projection_onto_the_standard_monomials(setups):
         std = set().union(*(standard(ideal, j) for j in range(trunc + 1)))
         for _ in range(20):
             p = random_poly(rng, nv, trunc, 8)
-            q = ideal.normal_form(p)
+            q = ideal.element(p).poly()
             assert set(q.terms) <= std, name
-            assert ideal.normal_form(q) == q, name
-            assert ideal_membership(p - q, ideal), name
+            assert ideal.element(q).poly() == q, name
+            assert not ideal.element(p - q), name
             assert reduce_top(q, ideal) == reduce_top(p, ideal), name
 
 
@@ -146,11 +143,12 @@ def test_mul_is_the_product_in_the_quotient(setups):
     for name, setup in setups.items():
         ideal = setup.ideal
         nv, trunc = setup.building.size, setup.n - 1
-        nf = ideal.normal_form
+        element = ideal.element
         for _ in range(20):
             a, b = random_poly(rng, nv, trunc, 6), random_poly(rng, nv, trunc, 6)
-            assert ideal.mul(a, b) == nf(a * b), name
-            assert ideal.mul(nf(a), nf(b)) == nf(a * b), name
+            want = element(a * b).poly()
+            assert (element(a) * element(b)).poly() == want, name
+            assert (element(element(a).poly()) * element(element(b).poly())).poly() == want, name
 
 
 def braid_a4_ideals():
@@ -186,7 +184,7 @@ def test_element_product_is_the_normal_form_of_the_free_product(setups):
             a, b = draw(ideal), draw(ideal)
             product = ideal.element(a) * ideal.element(b)
             assert product == ideal.element(a * b), name
-            assert product.poly() == ideal.normal_form(a * b), name
+            assert product.poly() == ideal.element(a * b).poly(), name
 
 
 def test_structure_constants_are_integral_commutative_and_associative(setups):
@@ -308,25 +306,39 @@ def test_generators_are_never_built_on_the_spectrum_path(monkeypatch, capsys):
     assert len(built["_nested_monomials"]) == ideal.trunc + 1
 
 
-def test_free_ring_products_are_never_formed_on_the_spectrum_path(monkeypatch):
-    calls = []
+def test_free_ring_products_are_never_formed_on_the_spectrum_path(monkeypatch, capsys):
+    calls, crossings = [], []
+
+    def count(owner, name, log):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            log.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
     for name in ("__mul__", "__rmul__"):
-        original = getattr(GradedPoly, name)
-
-        def counted(self, other, name=name, original=original):
-            calls.append(name)
-            return original(self, other)
-
-        monkeypatch.setattr(GradedPoly, name, counted)
+        count(GradedPoly, name, calls)
+    count(ring.IdealPresentation, "element", crossings)
+    count(ring.QuotientElement, "poly", crossings)
     spectrum(resolve_fixture("example-b1"))
     setup = prepare(resolve_fixture("generic3d:5"))
     for k in range(1, setup.degree + 1):
         for p in range(setup.n - (k == setup.degree)):
             multiplicity(setup, k, p)
     assert calls == []
-    # the wrappers are the products the free-ring classes call
+    # the CLI, self-check included, never crosses between the free ring and the quotient
+    assert cli.main(["compute", "example-b1"]) == 0
+    assert cli.main(["verify", "example-b1"]) == 0
+    assert cli.main(["verify", "example-b1", "--json"]) == 0
+    capsys.readouterr()
+    assert crossings == []
+    # the wrappers are the products the free-ring classes call, and the crossings
     assert setup.classes.todd
     assert calls
+    assert setup.ideal.element(setup.classes.todd).poly()
+    assert crossings == ["element", "poly"]
 
 
 def braid_a4():
