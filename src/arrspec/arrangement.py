@@ -5,15 +5,16 @@ C^n, each carrying a positive integer multiplicity; it stands for the
 product of the corresponding linear forms raised to those multiplicities.
 Everything downstream is computed from the intersection lattice alone.
 
-All linear algebra is exact (`fractions.Fraction`), and a flat is
-canonically identified by its *closure*: the sorted tuple of indices of
-every hyperplane that contains it.  Two flats are then equal iff their
-closures are equal, and flat V is contained in flat W (as subspaces) iff
-closure(W) is a subset of closure(V).
+All arithmetic is exact, and a flat is canonically identified by its
+*closure*: the sorted tuple of indices of every hyperplane that contains
+it.  Two flats are then equal iff their closures are equal, and flat V
+is contained in flat W (as subspaces) iff closure(W) is a subset of
+closure(V).
 
 `build_lattice` walks the lattice upward one cover at a time.  Each flat
-of rank r keeps the echelon basis of its normals; a cover is that basis
-plus one more normal, and only hyperplanes outside the flat and outside
+of rank r keeps the echelon basis of its normals, each cleared to its
+primitive integer direction, so the elimination runs in integers.  A
+cover is that basis plus one more normal, and only hyperplanes outside
 every cover already found from it need a containment test, since two
 covers of a flat share only the flat's own hyperplanes.  Once the
 lattice is built, `IntersectionLattice.closure_of` is a lookup in it: no
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .linalg import EchelonBasis
 
@@ -54,9 +56,17 @@ def as_fraction(x) -> Fraction:
     raise ValidationError(f"expected a rational number, got {type(x).__name__}")
 
 
-def _proportional(u: Vector, v: Vector) -> bool:
-    # u, v nonzero: proportional iff all 2x2 minors vanish
-    return all(u[i] * v[j] == u[j] * v[i] for i in range(len(u)) for j in range(i + 1, len(u)))
+def _direction(normal: Vector) -> tuple[int, ...]:
+    """The primitive integer vector on the normal's line whose first nonzero entry is positive.
+
+    Two nonzero normals are proportional iff their directions are equal.
+    """
+    scale = lcm(*(c.denominator for c in normal))
+    ints = [c.numerator * (scale // c.denominator) for c in normal]
+    g = gcd(*ints)
+    if next(c for c in ints if c) < 0:
+        g = -g
+    return tuple(c // g for c in ints)
 
 
 @dataclass(frozen=True)
@@ -84,7 +94,7 @@ class Flat:
 class Arrangement:
     """A central arrangement with multiplicities in C^n, n >= 2."""
 
-    __slots__ = ("n", "hyperplanes")
+    __slots__ = ("n", "hyperplanes", "degree")
 
     def __init__(self, n: int, hyperplanes) -> None:
         if not isinstance(n, int) or n < 2:
@@ -107,15 +117,22 @@ class Arrangement:
             hps.append(Hyperplane(normal, h.mult))
         if not hps:
             raise ValidationError("an arrangement needs at least one hyperplane")
-        for i in range(len(hps)):
-            for j in range(i + 1, len(hps)):
-                if _proportional(hps[i].normal, hps[j].normal):
-                    raise ValidationError(
-                        f"hyperplanes {i} and {j} have proportional normals: "
-                        "merge them into a single hyperplane with the summed multiplicity"
-                    )
+        # the smallest i with a later proportional normal, then its first such j
+        first: dict[tuple[int, ...], int] = {}
+        pair = None
+        for j, h in enumerate(hps):
+            i = first.setdefault(_direction(h.normal), j)
+            if i != j and (pair is None or i < pair[0]):
+                pair = (i, j)
+        if pair is not None:
+            raise ValidationError(
+                f"hyperplanes {pair[0]} and {pair[1]} have proportional normals: "
+                "merge them into a single hyperplane with the summed multiplicity"
+            )
         self.n = n
         self.hyperplanes = tuple(hps)
+        # total degree of the defining polynomial: the sum of multiplicities
+        self.degree = sum(h.mult for h in hps)
 
     @classmethod
     def from_normals(cls, n: int, normals, mults=None) -> "Arrangement":
@@ -125,11 +142,6 @@ class Arrangement:
         if len(mults) != len(rows):
             raise ValidationError("multiplicity list does not match the number of normals")
         return cls(n, [Hyperplane(r, m) for r, m in zip(rows, mults)])
-
-    @property
-    def degree(self) -> int:
-        """Total degree of the defining polynomial: the sum of multiplicities."""
-        return sum(h.mult for h in self.hyperplanes)
 
     @property
     def size(self) -> int:
@@ -229,7 +241,9 @@ class IntersectionLattice:
 
 def build_lattice(arrangement: Arrangement) -> IntersectionLattice:
     """Enumerate all flats of the arrangement and their Mobius values."""
-    normals = [{j: c for j, c in enumerate(h.normal) if c} for h in arrangement.hyperplanes]
+    normals = [
+        {j: c for j, c in enumerate(_direction(h.normal)) if c} for h in arrangement.hyperplanes
+    ]
     n, m = arrangement.n, len(normals)
 
     found: dict[tuple[int, ...], int] = {(): 0}

@@ -6,8 +6,11 @@ classes with multiplicities, the virtual Chern roots: n copies of -c_0,
 then for each further building-set element v of codimension r, -r copies
 of minus the sum of the variables strictly below v, one copy of c_v, and
 r copies of minus the sum of the variables weakly below v.  The dual of
-the sheaf of logarithmic one-forms has the same roots plus c_v with
-multiplicity -1 for each boundary divisor.
+the sheaf of logarithmic one-forms has the same roots without the c_v:
+its power sums are computed first, and the tangent bundle's are those
+plus the power sums of the c_v.  In the quotient a root's powers stop at
+the first zero one (the r-th power of the sum of the variables weakly
+below v is zero), and a root that is zero adds nothing.
 
 Every class is read off the power sums P_k = sum of m * x^k over the
 roots (m, x).  A multiplicative class with series g is
@@ -32,16 +35,18 @@ the spectrum reads neither.
 Chern characters: it expands the exponential sums over formal roots,
 rewrites them in elementary symmetric functions and substitutes the
 graded parts of the log Chern class, in whichever ring that class lives.
+The expansion depends only on the number of roots and p, so it is
+computed once for each pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import combinations
 from math import factorial
-from operator import mul, sub
+from operator import mul
 
 from .arrangement import StructureError
 from .nested import BuildingSet
@@ -87,27 +92,48 @@ def tangent_roots(bs: BuildingSet, linear=None) -> list[tuple[int, Element]]:
     coefficients of the variables into a class; by default a free-ring
     `GradedPoly`.
     """
-    nv = bs.size
     linear = linear or partial(GradedPoly.linear, trunc=bs.n - 1)
-    roots = [(bs.n, linear([-1] + [0] * (nv - 1)))]
+    return _dual_log_roots(bs, linear) + _unit_roots(bs, linear)
+
+
+def _dual_log_roots(bs: BuildingSet, linear) -> list[tuple[int, Element]]:
+    """The roots of the dual log forms, the tangent roots without the c_v,
+    with the multiplicities of equal roots summed."""
+    nv = bs.size
+    mults = {(-1,) + (0,) * (nv - 1): bs.n}
     for v in range(1, nv):
         r = bs.codims[v]
-        strict = [-int(bs.lt(w, v)) for w in range(nv)]
-        unit = [int(w == v) for w in range(nv)]
-        weak = list(map(sub, strict, unit))
-        roots += [(-r, linear(strict)), (1, linear(unit)), (r, linear(weak))]
-    return roots
+        coeffs = [0] * nv
+        for w in bs.below[v]:
+            coeffs[w] = -1
+        strict = tuple(coeffs)
+        mults[strict] = mults.get(strict, 0) - r
+        coeffs[v] = -1
+        weak = tuple(coeffs)
+        mults[weak] = mults.get(weak, 0) + r
+    return [(m, linear(c)) for c, m in mults.items() if m]
+
+
+def _unit_roots(bs: BuildingSet, linear) -> list[tuple[int, Element]]:
+    """c_v once for each element v > 0."""
+    nv = bs.size
+    return [(1, linear([int(w == v) for w in range(nv)])) for v in range(1, nv)]
 
 
 def _power_sums(roots: list[tuple[int, Element]], trunc: int, zero: Element) -> list[Element]:
-    """P_k = sum of m * x^k over the roots, for k = 0 .. trunc (P_0 is left zero)."""
+    """P_k = sum of m * x^k over the roots, for k = 0 .. trunc (P_0 is left zero).
+
+    A root's powers stop at its first zero power, so a zero root adds nothing.
+    """
     sums = [zero] * (trunc + 1)
     for m, x in roots:
         power = x * m
-        sums[1] = sums[1] + power
-        for k in range(2, trunc + 1):
-            power = power * x
+        for k in range(1, trunc + 1):
+            if not power:
+                break
             sums[k] = sums[k] + power
+            if k < trunc:
+                power = power * x
     return sums
 
 
@@ -161,9 +187,9 @@ def char_classes(bs: BuildingSet, ideal: IdealPresentation | None = None) -> Cha
     nv, trunc = bs.size, bs.n - 1
     linear = partial(GradedPoly.linear, trunc=trunc) if ideal is None else ideal.linear
     zero = linear([0] * nv)
-    tangent = _power_sums(tangent_roots(bs, linear), trunc, zero)
-    boundary = [(-1, linear([int(w == v) for w in range(nv)])) for v in range(1, nv)]
-    dual_log = [a + b for a, b in zip(tangent, _power_sums(boundary, trunc, zero))]
+    dual_log = _power_sums(_dual_log_roots(bs, linear), trunc, zero)
+    units = _power_sums(_unit_roots(bs, linear), trunc, zero)
+    tangent = [a + b for a, b in zip(dual_log, units)]
     todd = _root_sum(series_log(q_series(trunc)), tangent).exp()
 
     ch = _root_sum([Fraction(1, factorial(k)) for k in range(bs.n)], dual_log) + trunc
@@ -186,26 +212,36 @@ def ch_dual_exterior_roots(bs: BuildingSet, p: int, log_chern: Element) -> Eleme
     Kept as an independent check of `char_classes`; the result lives in
     the ring of `log_chern`, free or quotient, and equals the class there.
     """
-    m = bs.n - 1
+    h_parts = log_chern.graded_parts()
+    out = h_zero = log_chern * 0
+    for coeff, exps in _elementary_expansion(bs.n - 1, p):
+        term = h_zero + coeff
+        for j, e in enumerate(exps, start=1):
+            for _ in range(e):
+                term = term * h_parts[j]
+        out = out + term
+    return out
+
+
+@cache
+def _elementary_expansion(m: int, p: int) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
+    """The sum of exp(-(sum of p distinct roots)) over m formal roots, in the
+    elementary symmetric functions e_1 .. e_m: (coefficient, exponents) pairs."""
     roots = [GradedPoly.variable(i, m, m) for i in range(m)]
     one, zero = GradedPoly.constant(1, m, m), GradedPoly.zero(m, m)
     elementary = reduce(mul, (one + x for x in roots)).graded_parts()
-    h_parts = log_chern.graded_parts()
-
     work = sum(((-sum(combo, zero)).exp() for combo in combinations(roots, p)), zero)
-    out = h_zero = log_chern * 0
+    terms = []
     while work.terms:
         lead = max(work.terms)
         if any(lead[i] < lead[i + 1] for i in range(m - 1)):
             raise StructureError("root polynomial is not symmetric")
         coeff = work.terms[lead]
         # e_1^(l_1 - l_2) * e_2^(l_2 - l_3) * ... * e_m^(l_m) leads with `lead`
-        exps = [lead[i] - (lead[i + 1] if i + 1 < m else 0) for i in range(m)]
-        expansion, term = one, h_zero + coeff
+        exps = tuple(lead[i] - (lead[i + 1] if i + 1 < m else 0) for i in range(m))
+        expansion = one
         for j, e in enumerate(exps, start=1):
-            for _ in range(e):
-                expansion = expansion * elementary[j]
-                term = term * h_parts[j]
+            expansion = expansion * elementary[j] ** e
         work = work - expansion * coeff
-        out = out + term
-    return out
+        terms.append((coeff, exps))
+    return tuple(terms)

@@ -1,31 +1,36 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals, computed in integers.
 
-Vectors are dicts mapping an integer coordinate to a nonzero Fraction.
-`EchelonBasis` keeps a reduced echelon basis (every pivot is 1 and is the
-only nonzero entry in its coordinate across stored rows), so reducing a
-vector against it yields a canonical normal form.
+Vectors are dicts mapping an integer coordinate to a nonzero rational, an
+int or a Fraction.  `EchelonBasis` keeps its rows fraction-free: each row
+is a primitive integer vector (the gcd of its entries is 1) whose pivot,
+its smallest coordinate, holds a positive entry, and no row has a
+nonzero entry at another row's pivot.  Reduction cross-multiplies:
+clearing pivot p of row r from an integer vector v gives r[p] * v - v[p] * r.
+`reduce` divides at the end by the product of the pivots it used, so it
+returns the exact rational normal form, the same one a reduced echelon
+basis over the rationals gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 SparseVec = dict[int, Fraction]
 
 
 class EchelonBasis:
-    """Reduced echelon basis of sparse rational vectors.
+    """Echelon basis of sparse rational vectors, with primitive integer rows.
 
-    The pivot of a row is its smallest coordinate.  Rows are kept fully
-    reduced against each other: no row has a nonzero entry at another
-    row's pivot, so `reduce` clears each pivot among the vector's own
-    coordinates once, in any order.
+    Rows are kept reduced against each other: no row has a nonzero entry
+    at another row's pivot, so `reduce` clears each pivot among the
+    vector's own coordinates once, in any order.
     """
 
     __slots__ = ("rows",)
 
     def __init__(self) -> None:
-        self.rows: dict[int, SparseVec] = {}
+        self.rows: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
@@ -37,40 +42,59 @@ class EchelonBasis:
         out.rows = {p: dict(row) for p, row in self.rows.items()}
         return out
 
-    def reduce(self, vec: SparseVec) -> SparseVec:
-        """Normal form of `vec` modulo the row span."""
-        out = dict(vec)
+    def _eliminate(self, vec: SparseVec) -> tuple[dict[int, int], int]:
+        """An integer vector w and a scale s > 0 with w / s the normal form of `vec`."""
+        scale = lcm(*(c.denominator for c in vec.values()))
+        out = {c: v.numerator * (scale // v.denominator) for c, v in vec.items()}
         for p in [c for c in vec if c in self.rows]:
-            f = out[p]
-            for c, val in self.rows[p].items():
+            row = self.rows[p]
+            a, f = row[p], out[p]
+            if a != 1:
+                out = {c: a * v for c, v in out.items()}
+                scale *= a
+            for c, val in row.items():
                 nv = out.get(c, 0) - f * val
                 if nv:
                     out[c] = nv
                 else:
                     out.pop(c, None)
-        return out
+        return out, scale
+
+    def reduce(self, vec: SparseVec) -> SparseVec:
+        """Normal form of `vec` modulo the row span, with Fraction entries."""
+        out, scale = self._eliminate(vec)
+        return {c: Fraction(v, scale) for c, v in out.items()}
 
     def insert(self, vec: SparseVec) -> bool:
         """Add `vec` to the span.  Returns True iff the rank grew."""
-        red = self.reduce(vec)
+        red, _ = self._eliminate(vec)
         if not red:
             return False
-        p = min(red)
-        inv = red[p]
-        row = {c: v / inv for c, v in red.items()}
+        row = _primitive(red)
+        p = min(row)
+        a = row[p]
         # restore the reduced property on previously stored rows
-        for r in self.rows.values():
+        for q, r in self.rows.items():
             f = r.get(p)
-            if not f:
-                continue
-            for c, val in row.items():
-                nv = r.get(c, 0) - f * val
-                if nv:
-                    r[c] = nv
-                else:
-                    r.pop(c, None)
+            if f:
+                r = {c: a * v for c, v in r.items()}
+                for c, val in row.items():
+                    nv = r.get(c, 0) - f * val
+                    if nv:
+                        r[c] = nv
+                    else:
+                        r.pop(c, None)
+                self.rows[q] = _primitive(r)
         self.rows[p] = row
         return True
 
     def contains(self, vec: SparseVec) -> bool:
-        return not self.reduce(vec)
+        return not self._eliminate(vec)[0]
+
+
+def _primitive(vec: dict[int, int]) -> dict[int, int]:
+    """The integer vector divided by the gcd of its entries, signed so its pivot is positive."""
+    g = gcd(*vec.values())
+    if vec[min(vec)] < 0:
+        g = -g
+    return vec if g == 1 else {c: v // g for c, v in vec.items()}

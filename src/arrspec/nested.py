@@ -29,6 +29,7 @@ class BuildingSet:
         "closures",
         "zero_flat_included",
         "is_maximal",
+        "below",
         "_flat_elem",
         "_sets",
     )
@@ -42,6 +43,13 @@ class BuildingSet:
         self.closures = (None,) + tuple(f.closure for f in self.flats)
         # closures as sets, so containment is one subset test
         self._sets = (None,) + tuple(frozenset(c) for c in self.closures[1:])
+        # below[v]: the elements strictly below v; a flat strictly below v has
+        # smaller dimension, so it comes earlier in the element order
+        masks = [sum(1 << i for i in c) for c in self.closures[1:]]
+        self.below: tuple[frozenset[int], ...] = (frozenset(),) + tuple(
+            frozenset([0, *(w + 1 for w in range(v) if not mv & ~masks[w])])
+            for v, mv in enumerate(masks)
+        )
         self.zero_flat_included = zero_flat_included
         self._flat_elem = {f.closure: i + 1 for i, f in enumerate(self.flats)}
         proper = [
@@ -67,12 +75,10 @@ class BuildingSet:
 
     def leq(self, a: int, b: int) -> bool:
         """Containment of elements: a <= b as subspaces, 0 below everything."""
-        if a == b or a == 0:
-            return True
-        return b != 0 and self._sets[b] <= self._sets[a]
+        return a == b or a in self.below[b]
 
     def lt(self, a: int, b: int) -> bool:
-        return a != b and self.leq(a, b)
+        return a in self.below[b]
 
     def element_of_flat(self, flat: Flat) -> int | None:
         """Building-set element representing a flat, None if absent."""
@@ -186,10 +192,13 @@ def enumerate_nested(bs: BuildingSet, max_size: int) -> list[frozenset[int]]:
     """All nested subsets of the positive-index elements, up to `max_size`.
 
     Depth-first: nestedness is closed under taking subsets, so a branch
-    dies as soon as one extension fails.  (An explicit stack, not a
-    recursive closure: a closure that calls itself is a reference cycle,
-    which would keep the whole lattice alive until the cyclic collector
-    runs.)
+    dies as soon as one extension fails.  Adding j to a nested set can
+    only break an antichain through j, whose other members are all
+    incomparable to j, so only those antichains are tested, with the
+    comparabilities read from `BuildingSet.below`.  (An explicit
+    stack, not a recursive closure: a closure that calls itself is a
+    reference cycle, which would keep the whole lattice alive until the
+    cyclic collector runs.)
     """
     if max_size > bs.n - 1:
         raise ValueError(f"max_size {max_size} exceeds the ambient bound {bs.n - 1}")
@@ -199,12 +208,26 @@ def enumerate_nested(bs: BuildingSet, max_size: int) -> list[frozenset[int]]:
         current, start = stack.pop()
         for j in range(start, bs.size):
             cand = current + (j,)
-            if is_nested(bs, cand):
+            # `current` precedes j in the element order, so none of it lies above j
+            if _extends(bs, [a for a in current if a not in bs.below[j]], j):
                 out.append(frozenset(cand))
                 if len(cand) < max_size:
                     stack.append((cand, j + 1))
     out.sort(key=lambda s: (len(s), sorted(s)))
     return out
+
+
+def _extends(bs: BuildingSet, others: list[int], j: int) -> bool:
+    """Whether no antichain of j and some of `others`, ascending and each
+    incomparable to j, intersects in a building-set element."""
+    for size in range(1, len(others) + 1):
+        for sub in combinations(others, size):
+            # a precedes b, so only a can lie below b
+            if any(a in bs.below[b] for a, b in combinations(sub, 2)):
+                continue
+            if bs.intersection_element((*sub, j)) is not None:
+                return False
+    return True
 
 
 def d_value(bs: BuildingSet, subset, w: int) -> int:

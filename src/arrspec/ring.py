@@ -11,10 +11,14 @@ degree.
 its Feichtner-Yuzvinsky normal form: the standard monomials, a basis of
 the quotient, are known in closed form and listed by degree in `basis`,
 and a monomial's normal form comes from rewriting leading terms, with no
-elimination.  The product of two basis monomials is the normal form of
-their product; its coefficients, the ring's structure constants, are
-integers, since every leading coefficient is one.  They are read into a
-table by pair of basis indices on first use.
+elimination.  Every leading coefficient is one and every other
+coefficient is a multinomial, so the rewriting runs in integers.  A
+monomial whose support is not nested is zero, and supports are int
+bitmasks, so that test is one lookup.  The product of two basis
+monomials is the normal form of their product; its coefficients, the
+ring's structure constants, are read into a table by pair of basis
+indices on first use, and a pair whose supports do not unite to a
+nested set is zero without forming the product.
 
 `QuotientElement` is an element of the quotient: one integer numerator
 per basis monomial over one common denominator.  Its products read the
@@ -159,6 +163,9 @@ class GradedPoly:
             k >>= 1
         return result
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GradedPoly)
@@ -252,11 +259,12 @@ class IdealPresentation:
     def __init__(self, building: BuildingSet) -> None:
         self.building = building
         nv = building.size
-        self._nested = set(enumerate_nested(building, self.trunc))
-        self._limits: dict[frozenset[int], tuple[tuple[int, int], ...]] = {}
+        # nested set as a bitmask -> its elements, ascending
+        self._nested = {_mask(s): sorted(s) for s in enumerate_nested(building, self.trunc)}
+        self._limits: dict[int, tuple[tuple[int, int], ...]] = {}
         self._expansions: dict[tuple[int, int], tuple[tuple[Monomial, int], ...]] = {}
-        # monomial with nested support -> its normal form, as (basis index, coefficient) pairs
-        self._forms: dict[Monomial, tuple[tuple[int, Fraction], ...]] = {}
+        # monomial with nested support -> its normal form, as (basis index, integer) pairs
+        self._forms: dict[Monomial, tuple[tuple[int, int], ...]] = {}
         self._monomials: list[list[Monomial]] | None = None
         self._generators: list[GradedPoly] | None = None
         # standard monomials: 1 <= m_v < d_v on the support, 0 <= m_0 < d_0
@@ -269,6 +277,7 @@ class IdealPresentation:
             key=lambda m: (sum(m), [-e for e in m]),
         )
         self.index = {m: i for i, m in enumerate(self.basis)}
+        self._masks = [_support(m) for m in self.basis]
         self._degrees = [sum(m) for m in self.basis]
         self.quotient_ranks = [self._degrees.count(j) for j in range(self.trunc + 1)]
         # _starts[j]: index of the first basis monomial of degree j; _starts[trunc + 1] is the rank
@@ -299,7 +308,7 @@ class IdealPresentation:
         if self._monomials is None:
             nv = self.building.size
             self._monomials = [
-                _nested_monomials(self._nested, nv, j) for j in range(self.trunc + 1)
+                _nested_monomials(self._nested.values(), nv, j) for j in range(self.trunc + 1)
             ]
         return self._monomials
 
@@ -322,15 +331,16 @@ class IdealPresentation:
             ]
         return got
 
-    def _limits_of(self, support: frozenset[int]) -> tuple[tuple[int, int], ...]:
-        """(v, d) for v in the nested support and 0, by decreasing dimension:
-        d = dim(intersection of the support elements strictly above v) - dim(v)."""
+    def _limits_of(self, support: int) -> tuple[tuple[int, int], ...]:
+        """(v, d) for v in the nested support (a bitmask) and 0, by decreasing
+        dimension: d = dim(intersection of the support elements strictly
+        above v) - dim(v)."""
         got = self._limits.get(support)
         if got is None:
-            bs = self.building
+            bs, elems = self.building, self._nested[support]
             got = self._limits[support] = tuple(
-                (v, bs.intersection_dim([u for u in support if bs.lt(v, u)]) - bs.dims[v])
-                for v in sorted(support | {0}, key=lambda v: (-bs.dims[v], v))
+                (v, bs.intersection_dim([u for u in elems if v in bs.below[u]]) - bs.dims[v])
+                for v in sorted((0, *elems), key=lambda v: (-bs.dims[v], v))
             )
         return got
 
@@ -342,11 +352,11 @@ class IdealPresentation:
         if got is None:
             bs, nv = self.building, self.building.size
             terms = []
-            for combo in combinations_with_replacement([v for v in range(nv) if bs.leq(v, w)], d):
+            for combo in combinations_with_replacement(sorted({w, *bs.below[w]}), d):
                 delta = [0] * nv
                 for v in combo:
                     delta[v] += 1
-                if delta[w] < d and _support(delta) in self._nested:
+                if delta[w] < d and _mask(combo) in self._nested:
                     coeff = factorial(d)
                     for e in delta:
                         coeff //= factorial(e)
@@ -354,7 +364,7 @@ class IdealPresentation:
             got = self._expansions[(w, d)] = tuple(terms)
         return got
 
-    def _form(self, mono: Monomial) -> tuple[tuple[int, Fraction], ...]:
+    def _form(self, mono: Monomial) -> tuple[tuple[int, int], ...]:
         """Normal form of one monomial; zero if the support is not nested.
 
         Memoized for nested support only, so the memo holds no zeros of
@@ -362,12 +372,13 @@ class IdealPresentation:
         """
         got = self._forms.get(mono)
         if got is None:
-            if _support(mono) not in self._nested:
+            support = _support(mono)
+            if support not in self._nested:
                 return ()
-            got = self._forms[mono] = self._rewrite(mono)
+            got = self._forms[mono] = self._rewrite(mono, support)
         return got
 
-    def _rewrite(self, mono: Monomial) -> tuple[tuple[int, Fraction], ...]:
+    def _rewrite(self, mono: Monomial, support: int) -> tuple[tuple[int, int], ...]:
         """Normal form of a monomial with nested support: itself if standard.
 
         Otherwise W is the largest-dimension element whose exponent reaches
@@ -376,19 +387,18 @@ class IdealPresentation:
         other terms, each rewritten in turn.  Each of those moves a factor
         of x_W to an element of smaller dimension, so the rewriting ends.
         """
-        limits = self._limits_of(_support(mono))
-        over = next(((w, d) for w, d in limits if mono[w] >= d), None)
+        over = next(((w, d) for w, d in self._limits_of(support) if mono[w] >= d), None)
         if over is None:
-            return ((self.index[mono], _ONE),)
+            return ((self.index[mono], 1),)
         w, d = over
         # d = 0 is the relation x_H = 0, possible only below the formal element
         if d < 0 or (d == 0 and w != 0):
             raise StructureError(f"no relation rewrites the non-standard monomial {mono!r}")
         rest = mono[:w] + (mono[w] - d,) + mono[w + 1 :]
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         for delta, c in self._expansion(w, d):
             for i, v in self._form(tuple(map(add, rest, delta))):
-                nv = out.get(i, _ZERO) - c * v
+                nv = out.get(i, 0) - c * v
                 if nv:
                     out[i] = nv
                 else:
@@ -399,8 +409,12 @@ class IdealPresentation:
         """Structure constants of basis[i] * basis[j], filled in the table for both orders."""
         got = self._table[i][j]
         if got is None:
-            mono = tuple(map(add, self.basis[i], self.basis[j]))
-            got = self._table[i][j] = self._table[j][i] = _integral(self._form(mono), mono)
+            if self._masks[i] | self._masks[j] in self._nested:
+                mono = tuple(map(add, self.basis[i], self.basis[j]))
+                got = _integral(self._form(mono), mono)
+            else:
+                got = ()
+            self._table[i][j] = self._table[j][i] = got
         return got
 
     # elements
@@ -576,18 +590,26 @@ def _integral(form, where) -> tuple[tuple[int, int], ...]:
     return tuple((i, c.numerator) for i, c in form)
 
 
-def _support(mono: Monomial) -> frozenset[int]:
-    """Variables of positive exponent, the formal element 0 aside."""
-    return frozenset(i for i, e in enumerate(mono) if e and i)
+def _mask(elems) -> int:
+    """The bitmask of the elements, the formal element 0 aside."""
+    out = 0
+    for v in elems:
+        out |= 1 << v
+    return out & ~1
+
+
+def _support(mono: Monomial) -> int:
+    """Bitmask of the variables of positive exponent, the formal element 0 aside."""
+    return _mask(i for i, e in enumerate(mono) if e)
 
 
 def _nested_monomials(nested, nvars: int, degree: int) -> list[Monomial]:
     """Degree-`degree` monomials whose support is one of the `nested` sets,
-    lexicographically largest first."""
+    each an ascending list, lexicographically largest first."""
     out = []
     for subset in nested:
         if len(subset) <= degree:
-            for extra in combinations_with_replacement((0, *sorted(subset)), degree - len(subset)):
+            for extra in combinations_with_replacement((0, *subset), degree - len(subset)):
                 mono = [0] * nvars
                 for i in (*subset, *extra):
                     mono[i] += 1

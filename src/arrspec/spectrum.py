@@ -140,8 +140,9 @@ class SpectrumSetup:
         d, bs = self.degree, self.building
         _check_index("eigenvalue index", k, 1, d)
         r = [(-k * h.mult) % d for h in self.arrangement.hyperplanes]
+        get = r.__getitem__
         return (bs.n - sum(r) // d,) + tuple(
-            bs.codims[v] - sum(r[i] for i in bs.closures[v]) // d - 1 for v in range(1, bs.size)
+            [c - sum(map(get, cl)) // d - 1 for c, cl in zip(bs.codims[1:], bs.closures[1:])]
         )
 
     def twist(self, k: int) -> QuotientElement:
@@ -209,14 +210,13 @@ class SpectrumResult:
 
 def spectrum_from_setup(setup: SpectrumSetup) -> SpectrumResult:
     n, d = setup.n, setup.degree
+    twists = [setup.twist(k) for k in range(1, d + 1)]
     points = []
-    for k in range(1, d + 1):
-        twist = setup.twist(k)
-        # the exponent n (k = d, p = n - 1) is excluded
-        for p in range(n - (k == d)):
+    # by ascending exponent k/d + p; the exponent n (k = d, p = n - 1) is excluded
+    for p in range(n):
+        for k, twist in enumerate(twists[: d - (p == n - 1)], start=1):
             if m := _pair_cell(setup, twist, k, p):
                 points.append(SpectralPoint(Fraction(k, d) + p, m, k, p))
-    points.sort(key=lambda pt: pt.alpha)
 
     warnings = []
     if not setup.lattice.is_essential:

@@ -64,6 +64,18 @@ def test_proportional_normals_ask_for_merge():
         Arrangement.from_normals(3, [(1, 2, 3), (Fraction(1, 2), 1, Fraction(3, 2))])
 
 
+def test_proportional_normals_report_the_first_pair():
+    # two duplicated directions, the later one found first in a scan; the
+    # message names the smallest i with a later proportional normal, then
+    # its first such j, as a scan over all pairs (i, j) does
+    normals = [(1, 0, 0), (0, 1, 1), (0, -2, -2), (Fraction(-1, 2), 0, 0), (3, 0, 0)]
+    with pytest.raises(ValidationError, match=r"^hyperplanes 0 and 3 have proportional normals"):
+        Arrangement.from_normals(3, normals)
+    # a direction met three times: its first repeat
+    with pytest.raises(ValidationError, match=r"^hyperplanes 1 and 3 have proportional normals"):
+        Arrangement.from_normals(3, [(1, 0, 0), (0, 1, 1), (1, 1, 0), (0, 3, 3), (0, -1, -1)])
+
+
 def test_three_lines_lattice():
     lat = build_lattice(THREE_LINES)
     assert [(f.closure, f.dim, f.codim) for f in lat.flats] == [

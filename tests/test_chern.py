@@ -12,7 +12,7 @@ from arrspec import (
     reduce_top,
 )
 from arrspec.chern import series_log, tangent_roots
-from test_quotient import braid_a4
+from test_quotient import braid
 
 
 def series_apply(coeffs, z):
@@ -178,7 +178,7 @@ def test_chern_character_cross_route():
             direct = ch_dual_exterior_roots(bs, p, cl.log_chern)
             assert cl.dual_ch[p] == direct
     # the same route on the quotient class, also on braid A4 with both building sets
-    arr, closures = braid_a4()
+    arr, closures = braid(4)
     for setup in (THREE_LINES, QUARTIC, SINGLE, prepare(arr), prepare(arr, closures)):
         q = setup.quotient
         for p in range(setup.n):

@@ -3,6 +3,9 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_ring import TERNARY, building_closure
 
 from arrspec import (
     Arrangement,
@@ -105,6 +108,26 @@ def test_enumerate_nested_matches_brute_force():
             if is_nested(bs, sub):
                 expected.add(frozenset(sub))
     assert got == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_enumerate_nested_equals_is_nested_filter(data):
+    # every subset up to the bound, for the maximal and a custom building set
+    n = data.draw(st.sampled_from([3, 4]))
+    normals = st.lists(st.sampled_from(TERNARY[n]), min_size=3, max_size=6, unique=True)
+    lattice = build_lattice(Arrangement.from_normals(n, data.draw(normals)))
+    proper = [f.closure for f in lattice.flats if f.codim > 1]
+    chosen = data.draw(st.lists(st.sampled_from(proper), unique=True)) if proper else []
+    custom = building_from_closures(lattice, building_closure(lattice, chosen))
+    for bs in (maximal_building(lattice), custom):
+        expected = {
+            frozenset(sub)
+            for size in range(bs.n)
+            for sub in combinations(range(1, bs.size), size)
+            if is_nested(bs, sub)
+        }
+        assert set(enumerate_nested(bs, bs.n - 1)) == expected
 
 
 def test_enumerate_nested_is_downward_closed():

@@ -12,7 +12,7 @@ import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -154,7 +154,7 @@ def test_mul_is_the_product_in_the_quotient(setups):
 def braid_a4_ideals():
     """The braid A4 quotient for the maximal and the minimal building set: C^4,
     where products of three degree-one elements reach the top degree."""
-    arr, closures = braid_a4()
+    arr, closures = braid(4)
     lattice = build_lattice(arr)
     return [
         ideal_generators(maximal_building(lattice)),
@@ -341,19 +341,49 @@ def test_free_ring_products_are_never_formed_on_the_spectrum_path(monkeypatch, c
     assert crossings == ["element", "poly"]
 
 
-def braid_a4():
-    """x_i - x_j on five points, the last coordinate set to 0, and the
-    closures of its irreducible flats (one block of the partition)."""
-    pairs = list(combinations(range(5), 2))
-    normals = [tuple(int(k == i) - int(k == j) for k in range(4)) for i, j in pairs]
-    blocks = [b for size in range(2, 6) for b in combinations(range(5), size)]
+def braid(n):
+    """Braid A_n in C^n: x_i - x_j on n + 1 points, the last coordinate set
+    to 0, and the closures of its irreducible flats, the partitions with
+    one non-singleton block."""
+    pairs = list(combinations(range(n + 1), 2))
+    normals = [tuple(int(k == i) - int(k == j) for k in range(n)) for i, j in pairs]
+    blocks = [b for size in range(2, n + 2) for b in combinations(range(n + 1), size)]
     closures = [[h for h, (i, j) in enumerate(pairs) if {i, j} <= set(b)] for b in blocks]
-    return Arrangement.from_normals(4, normals), closures
+    return Arrangement.from_normals(n, normals), closures
+
+
+def keel_betti(points):
+    """Betti numbers of the moduli space of stable genus-0 curves with `points`
+    marked points (Keel, Trans. AMS 330, 1992), from the recursion
+    P_(m+1) = (1 + q) P_m + (q/2) * sum_(j=2..m-2) C(m, j) P_(j+1) P_(m-j+1)."""
+    polys = {3: [1]}
+    for m in range(3, points):
+        prev = polys[m]
+        split = [0] * (m - 1)
+        for j in range(2, m - 1):
+            for a, x in enumerate(polys[j + 1]):
+                for b, y in enumerate(polys[m - j + 1]):
+                    split[a + b + 1] += comb(m, j) * x * y
+        # (1 + q) P_m, plus half the split sum
+        polys[m + 1] = [a + b + s // 2 for a, b, s in zip(prev + [0], [0] + prev, split)]
+    return polys[points]
 
 
 def test_braid_a4_quotient_ranks():
-    arr, closures = braid_a4()
+    arr, closures = braid(4)
     lattice = build_lattice(arr)
     assert ideal_generators(maximal_building(lattice)).quotient_ranks == [1, 41, 41, 1]
     irreducible = building_from_closures(lattice, closures)
     assert ideal_generators(irreducible).quotient_ranks == [1, 16, 16, 1]
+
+
+def test_irreducible_braid_ranks_are_keel_betti_numbers():
+    # the wonderful model of braid A_n on its irreducible flats is the moduli
+    # space of n + 2 marked points; its nested sets are not chains
+    assert keel_betti(6) == [1, 16, 16, 1]
+    assert keel_betti(7) == [1, 42, 127, 42, 1]
+    for n in (3, 4, 5):
+        arr, closures = braid(n)
+        irreducible = building_from_closures(build_lattice(arr), closures)
+        assert not irreducible.is_maximal
+        assert ideal_generators(irreducible).quotient_ranks == keel_betti(n + 2)
