@@ -17,8 +17,9 @@ primitive integer direction, so the elimination runs in integers.  A
 cover is that basis plus one more normal, and only hyperplanes outside
 every cover already found from it need a containment test, since two
 covers of a flat share only the flat's own hyperplanes.  Once the
-lattice is built, `IntersectionLattice.closure_of` is a lookup in it: no
-elimination runs after `build_lattice`.
+lattice is built, every closure query is `IntersectionLattice.join`, a
+cached scan over the flats' bitmasks: no elimination runs after
+`build_lattice`.
 """
 
 from __future__ import annotations
@@ -169,19 +170,26 @@ class IntersectionLattice:
     """All intersections of hyperplanes of an arrangement, ordered by inclusion.
 
     Flats are listed by ascending codimension (ties broken lexicographically
-    on closures), starting with the ambient space itself.  `mobius[i]` is the
-    Mobius value of the interval from the ambient space down to `flats[i]`.
+    on closures), starting with the ambient space itself.  `masks[i]` is the
+    closure of `flats[i]` as a bitmask of hyperplane indices, and
+    `mobius[i]` is the Mobius value of the interval from the ambient space
+    down to `flats[i]`.
     """
 
-    __slots__ = ("arrangement", "flats", "mobius", "_index", "_sets", "_closure_cache")
+    __slots__ = ("arrangement", "flats", "masks", "mobius", "_index", "_joins")
 
-    def __init__(self, arrangement: Arrangement, flats, mobius) -> None:
+    def __init__(self, arrangement: Arrangement, flats) -> None:
         self.arrangement = arrangement
         self.flats: tuple[Flat, ...] = tuple(flats)
-        self.mobius: tuple[int, ...] = tuple(mobius)
         self._index = {f.closure: i for i, f in enumerate(self.flats)}
-        self._sets = [frozenset(f.closure) for f in self.flats]
-        self._closure_cache: dict[frozenset, tuple[tuple[int, ...], int]] = {}
+        self.masks: tuple[int, ...] = tuple(sum(1 << i for i in f.closure) for f in self.flats)
+        self._joins: dict[int, int] = {}
+        # mu(V) = -(sum of mu over the flats strictly containing V), all of
+        # which have smaller codimension and so come earlier
+        mobius = [1]
+        for m in self.masks[1:]:
+            mobius.append(-sum(mu for mu, u in zip(mobius, self.masks) if not u & ~m))
+        self.mobius: tuple[int, ...] = tuple(mobius)
 
     @property
     def n(self) -> int:
@@ -198,20 +206,27 @@ class IntersectionLattice:
         """Subspace containment: a <= b."""
         return set(b.closure) <= set(a.closure)
 
-    def closure_of(self, indices) -> tuple[tuple[int, ...], int]:
-        """Closure and rank of the span of the given hyperplanes' normals.
+    def join(self, mask: int) -> int:
+        """Index of the intersection of the hyperplanes in `mask`, a bitmask.
 
-        Flats are sorted by ascending codimension, so the first one whose
-        closure holds every index is their span.
+        Flats are sorted by ascending codimension, so it is the first flat
+        whose mask holds `mask`; `join(0)` is the ambient space.
         """
-        key = frozenset(indices)
-        hit = self._closure_cache.get(key)
-        if hit is None:
-            flat = next((f for f, s in zip(self.flats, self._sets) if key <= s), None)
-            if flat is None:
-                raise ValueError(f"hyperplane indices {sorted(key)!r} out of range")
-            hit = self._closure_cache.setdefault(key, (flat.closure, flat.codim))
-        return hit
+        got = self._joins.get(mask)
+        if got is None:
+            got = next((i for i, m in enumerate(self.masks) if not mask & ~m), None)
+            if got is None:
+                raise ValueError(f"hyperplane mask {mask:#x} out of range")
+            self._joins[mask] = got
+        return got
+
+    def closure_of(self, indices) -> tuple[tuple[int, ...], int]:
+        """Closure and rank of the span of the given hyperplanes' normals."""
+        key = set(indices)
+        if not all(0 <= i < self.arrangement.size for i in key):
+            raise ValueError(f"hyperplane indices {sorted(key)!r} out of range")
+        flat = self.flats[self.join(sum(1 << i for i in key))]
+        return flat.closure, flat.codim
 
     @property
     def is_essential(self) -> bool:
@@ -226,13 +241,13 @@ class IntersectionLattice:
 
         The lattice is geometric, so a containment one rank apart is a cover.
         """
-        codims, sets = [f.codim for f in self.flats], self._sets
-        m = len(sets)
+        codims, masks = [f.codim for f in self.flats], self.masks
+        m = len(masks)
         return [
             (i, j)
             for i in range(m)
             for j in range(m)
-            if codims[j] == codims[i] + 1 and sets[i] < sets[j]
+            if codims[j] == codims[i] + 1 and not masks[i] & ~masks[j]
         ]
 
     def __repr__(self) -> str:
@@ -240,7 +255,7 @@ class IntersectionLattice:
 
 
 def build_lattice(arrangement: Arrangement) -> IntersectionLattice:
-    """Enumerate all flats of the arrangement and their Mobius values."""
+    """Enumerate all flats of the arrangement."""
     normals = [
         {j: c for j, c in enumerate(_direction(h.normal)) if c} for h in arrangement.hyperplanes
     ]
@@ -278,36 +293,17 @@ def build_lattice(arrangement: Arrangement) -> IntersectionLattice:
 
     flats = [Flat(cl, n - r, r) for cl, r in found.items()]
     flats.sort(key=lambda f: (f.codim, f.closure))
-    sets = [frozenset(f.closure) for f in flats]
-
-    # Mobius values mu(ambient, V), top-down by codimension
-    mobius = [0] * len(flats)
-    for i, f in enumerate(flats):
-        if f.codim == 0:
-            mobius[i] = 1
-        else:
-            mobius[i] = -sum(mobius[j] for j in range(len(flats)) if sets[j] < sets[i])
-
-    return IntersectionLattice(arrangement, flats, mobius)
+    return IntersectionLattice(arrangement, flats)
 
 
 def euler_projective_complement(lattice: IntersectionLattice) -> int:
     """Euler characteristic of the projectivized complement.
 
-    The characteristic polynomial sum over flats of mu(V) * (-t)^codim(V)
-    always has (1 + t) as an exact factor for a nonempty central
-    arrangement; the value of the cofactor at t = -1 is returned.
+    For a nonempty central arrangement the characteristic polynomial
+    pi(A, t) = sum over flats of mu(V) * (-t)^codim(V) is (1 + t) * pi(PA, t),
+    so pi(A, -1) = sum of mu(V) is 0, and pi(PA, -1) = pi'(A, -1) is
+    -(sum of codim(V) * mu(V)).
     """
-    top = max(f.codim for f in lattice.flats)
-    coeffs = [0] * (top + 1)
-    for f, mu in zip(lattice.flats, lattice.mobius):
-        coeffs[f.codim] += mu * (-1) ** f.codim
-    # exact division by (1 + t), highest coefficient first
-    quot = [0] * top
-    carry = 0
-    for k in range(top, 0, -1):
-        quot[k - 1] = coeffs[k] - carry
-        carry = quot[k - 1]
-    if coeffs[0] - carry != 0:
+    if sum(lattice.mobius):
         raise StructureError("characteristic polynomial not divisible by 1 + t")
-    return sum(c * (-1) ** k for k, c in enumerate(quot))
+    return -sum(f.codim * mu for f, mu in zip(lattice.flats, lattice.mobius))

@@ -67,13 +67,12 @@ def _check_cross_route(setup: SpectrumSetup) -> CheckResult:
 
 
 def plane_curve_oracle(d: int) -> dict[Fraction, int]:
-    """Spectrum of d distinct concurrent reduced lines, from the classical formula."""
-    out: dict[Fraction, int] = {}
-    for i in range(1, d):
-        for j in range(1, d):
-            a = Fraction(i + j, d)
-            out[a] = out.get(a, 0) + 1
-    return out
+    """Spectrum of d distinct concurrent reduced lines, from the classical formula.
+
+    The exponents are (i + j)/d for 1 <= i, j <= d - 1, so s/d occurs
+    min(s - 1, 2d - 1 - s) times for s = 2..2d - 2.
+    """
+    return {Fraction(s, d): min(s - 1, 2 * d - 1 - s) for s in range(2, 2 * d - 1)}
 
 
 def _check_plane_curves(setup: SpectrumSetup, result: SpectrumResult) -> CheckResult | None:

@@ -65,8 +65,6 @@ def _cmd_compute(args) -> int:
         print(f"degree {result.degree}")
         for pt in result.points:
             print(f"  alpha {pt.alpha}: multiplicity {pt.mult} (k={pt.k}, p={pt.p})")
-        for w in result.warnings:
-            print(f"warning: {w}")
         if checks is not None:
             for c in checks:
                 print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}")
@@ -147,8 +145,6 @@ def _cmd_verify(args) -> int:
     else:
         for c in checks:
             print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
-        for w in result.warnings:
-            print(f"warning: {w}")
         print("all checks passed" if ok else "some checks FAILED")
     return 0 if ok else 1
 

@@ -46,8 +46,9 @@ def _generic3d(m: int) -> Arrangement:
     return Arrangement.from_normals(3, [(1, t, t * t) for t in range(m)])
 
 
-# the largest parameter of each parametric fixture: `Arrangement` compares
-# every pair of normals, and the spectrum's layers grow faster still
+# the largest parameter of each parametric fixture, where `compute` takes
+# seconds: lines:d has d + 2 flats and generic3d:m about m^2 / 2, and the
+# ring and pairing layers grow faster than the lattice
 FIXTURE_LIMITS = {"lines:": 1000, "generic3d:": 30}
 
 _NAMED = {

@@ -27,11 +27,11 @@ class BuildingSet:
         "dims",
         "codims",
         "closures",
+        "masks",
         "zero_flat_included",
         "is_maximal",
         "below",
-        "_flat_elem",
-        "_sets",
+        "_elem_of",
     )
 
     def __init__(self, lattice: IntersectionLattice, flats, zero_flat_included: bool) -> None:
@@ -41,23 +41,22 @@ class BuildingSet:
         self.dims = (0,) + tuple(f.dim for f in self.flats)
         self.codims = (n,) + tuple(f.codim for f in self.flats)
         self.closures = (None,) + tuple(f.closure for f in self.flats)
-        # closures as sets, so containment is one subset test
-        self._sets = (None,) + tuple(frozenset(c) for c in self.closures[1:])
+        index = [lattice.flat_index(c) for c in self.closures[1:]]
+        # closures as bitmasks; the formal zero element lies on every hyperplane
+        self.masks = ((1 << lattice.arrangement.size) - 1,) + tuple(lattice.masks[i] for i in index)
         # below[v]: the elements strictly below v; a flat strictly below v has
         # smaller dimension, so it comes earlier in the element order
-        masks = [sum(1 << i for i in c) for c in self.closures[1:]]
-        self.below: tuple[frozenset[int], ...] = (frozenset(),) + tuple(
-            frozenset([0, *(w + 1 for w in range(v) if not mv & ~masks[w])])
-            for v, mv in enumerate(masks)
+        self.below: tuple[frozenset[int], ...] = tuple(
+            frozenset(w for w in range(v) if not mv & ~self.masks[w])
+            for v, mv in enumerate(self.masks)
         )
         self.zero_flat_included = zero_flat_included
-        self._flat_elem = {f.closure: i + 1 for i, f in enumerate(self.flats)}
-        proper = [
-            f for f in lattice.flats if f.codim > 0 and not (zero_flat_included and f.dim == 0)
-        ]
-        self.is_maximal = zero_flat_included is lattice.is_essential and len(proper) == len(
-            self.flats
-        )
+        # lattice index -> element; the origin is element 0 when it is listed
+        self._elem_of = {i: e for e, i in enumerate(index, start=1)}
+        if zero_flat_included:
+            self._elem_of[lattice.join(self.masks[0])] = 0
+        # every proper flat is listed, the origin as element 0
+        self.is_maximal = len(self.flats) + zero_flat_included == len(lattice.flats) - 1
 
     @property
     def n(self) -> int:
@@ -80,35 +79,26 @@ class BuildingSet:
     def lt(self, a: int, b: int) -> bool:
         return a in self.below[b]
 
-    def element_of_flat(self, flat: Flat) -> int | None:
-        """Building-set element representing a flat, None if absent."""
-        i = self._flat_elem.get(flat.closure)
-        if i is not None:
-            return i
-        if flat.dim == 0 and self.zero_flat_included:
-            return 0
-        return None
+    def _meet(self, elems) -> int | None:
+        """Lattice index of the intersection of the elements, None if 0 is among them."""
+        mask = 0
+        for e in elems:
+            if e == 0:
+                return None
+            mask |= self.masks[e]
+        return self.lattice.join(mask)
 
     def intersection_dim(self, elems) -> int:
-        """Dimension of the subspace intersection of positive-index elements."""
-        elems = list(elems)
-        if not elems:
-            return self.n
-        if 0 in elems:
-            return 0
-        _, rank = self.lattice.closure_of(frozenset().union(*(self._sets[e] for e in elems)))
-        return self.n - rank
+        """Dimension of the subspace intersection of the elements."""
+        i = self._meet(elems)
+        return 0 if i is None else self.lattice.flats[i].dim
 
     def intersection_element(self, elems) -> int | None:
         """Element of the building set equal to the intersection, None if absent."""
-        elems = list(elems)
-        if 0 in elems:
+        i = self._meet(elems)
+        if i is None:
             return 0 if self.zero_flat_included else None
-        closure, _ = self.lattice.closure_of(frozenset().union(*(self._sets[e] for e in elems)))
-        flat = self.lattice.flat_by_closure(closure)
-        if flat is None or flat.codim == 0:
-            return None
-        return self.element_of_flat(flat)
+        return self._elem_of.get(i)
 
     def __repr__(self) -> str:
         kind = "maximal" if self.is_maximal else "custom"
@@ -129,37 +119,32 @@ def building_from_closures(lattice: IntersectionLattice, closure_sets) -> Buildi
     X's closure) have codimensions summing to codim(X), so X is their
     direct sum.  A selection that fails is rejected with a `ValidationError`.
     """
-    chosen: dict[tuple[int, ...], Flat] = {}
-    zero_included = False
+    flats, masks = lattice.flats, lattice.masks
+    chosen: set[int] = set()
     for raw in closure_sets:
-        closure = tuple(sorted(set(raw)))
-        flat = lattice.flat_by_closure(closure)
-        if flat is None or flat.codim == 0:
+        i = lattice.flat_index(set(raw))
+        if i is None or flats[i].codim == 0:
             raise ValidationError(f"closure set {list(raw)!r} is not a proper flat")
-        if flat.dim == 0:
-            zero_included = True
-        chosen[flat.closure] = flat
-    for f in lattice.hyperplane_flats():
-        if f.closure not in chosen:
+        chosen.add(i)
+    for i, f in enumerate(flats):
+        if f.codim == 1 and i not in chosen:
             raise ValidationError(
                 f"building set must contain every hyperplane flat; missing {list(f.closure)!r}"
             )
-    listed = [(frozenset(c), f.codim) for c, f in chosen.items()]
-    for x in lattice.flats:
-        if x.codim == 0:
-            continue
-        xs = frozenset(x.closure)
-        below = [(s, c) for s, c in listed if s <= xs]
-        factors = sum(c for s, c in below if not any(s < t for t, _ in below))
+    listed = [(masks[i], flats[i].codim) for i in chosen]
+    for x, xm in zip(flats[1:], masks[1:]):
+        below = [(s, c) for s, c in listed if not s & ~xm]
+        factors = sum(c for s, c in below if not any(s != t and not s & ~t for t, _ in below))
         if factors != x.codim:
             raise ValidationError(
                 f"not a building set: the smallest listed flats containing {list(x.closure)!r} "
                 f"have codimensions summing to {factors}, not its codimension {x.codim}"
             )
-    flats = sorted(
-        (f for f in chosen.values() if f.dim > 0), key=lambda f: (f.dim, f.closure)
+    return BuildingSet(
+        lattice,
+        sorted((flats[i] for i in chosen if flats[i].dim > 0), key=lambda f: (f.dim, f.closure)),
+        zero_flat_included=any(flats[i].dim == 0 for i in chosen),
     )
-    return BuildingSet(lattice, flats, zero_flat_included=zero_included)
 
 
 def _check_elements(bs: BuildingSet, subset) -> list[int]:

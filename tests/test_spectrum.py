@@ -16,6 +16,7 @@ from arrspec import (
     beta,
     euler_projective_complement,
     multiplicity,
+    plane_curve_oracle,
     prepare,
     r_alpha,
     reduce_top,
@@ -200,20 +201,43 @@ def test_spectrum_points_sorted_with_provenance(results):
 def test_single_line_spectrum_is_empty():
     result = spectrum(resolve_fixture("lines:1"))
     assert result.points == ()
-    assert any("non-essential" in w for w in result.warnings)
+    assert result.warnings == ()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["example-a", "example-a-weighted", "example-b1", "example-b2", "lines:5", "generic3d:5"],
+)
+def test_lift_identity(name):
+    # the same forms in one more variable: a non-essential arrangement whose
+    # spectrum is the original one shifted by 1 with every sign flipped
+    arr = resolve_fixture(name)
+    lifted = Arrangement.from_normals(
+        arr.n + 1, [h.normal + (0,) for h in arr.hyperplanes], [h.mult for h in arr.hyperplanes]
+    )
+    assert pairs(spectrum(lifted)) == [(a + 1, -m) for a, m in pairs(spectrum(arr))]
+
+
+def classical_plane_curve(d: int) -> dict[Fraction, int]:
+    # independent oracle: d concurrent reduced lines have spectrum
+    # {(i+j)/d : 1 <= i, j <= d-1} counted with multiplicity
+    expected: dict[Fraction, int] = {}
+    for i in range(1, d):
+        for j in range(1, d):
+            a = Fraction(i + j, d)
+            expected[a] = expected.get(a, 0) + 1
+    return expected
 
 
 def test_plane_curve_spectra_match_classical_formula():
-    # independent oracle: d concurrent reduced lines have spectrum
-    # {(i+j)/d : 1 <= i, j <= d-1} counted with multiplicity
     for d in range(2, 9):
-        expected: dict[Fraction, int] = {}
-        for i in range(1, d):
-            for j in range(1, d):
-                a = Fraction(i + j, d)
-                expected[a] = expected.get(a, 0) + 1
         got = dict(pairs(spectrum(resolve_fixture(f"lines:{d}"))))
-        assert got == expected, f"d={d}"
+        assert got == classical_plane_curve(d), f"d={d}"
+
+
+def test_plane_curve_oracle_counts_the_pairs():
+    for d in range(1, 31):
+        assert plane_curve_oracle(d) == classical_plane_curve(d), f"d={d}"
 
 
 def test_plane_curve_spectra_symmetric():
