@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .arrangement import (
     Arrangement,
@@ -149,7 +150,9 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="arrspec",
         description="Hodge spectra of central hyperplane arrangements, exactly.",

@@ -118,6 +118,7 @@ def building_from_closures(lattice: IntersectionLattice, closure_sets) -> Buildi
     flats containing X (those whose closures are inclusion-maximal inside
     X's closure) have codimensions summing to codim(X), so X is their
     direct sum.  A selection that fails is rejected with a `ValidationError`.
+    A listed X is its own only such flat, so only unlisted flats are counted.
     """
     flats, masks = lattice.flats, lattice.masks
     chosen: set[int] = set()
@@ -132,7 +133,10 @@ def building_from_closures(lattice: IntersectionLattice, closure_sets) -> Buildi
                 f"building set must contain every hyperplane flat; missing {list(f.closure)!r}"
             )
     listed = [(masks[i], flats[i].codim) for i in chosen]
-    for x, xm in zip(flats[1:], masks[1:]):
+    for i in range(1, len(flats)):
+        if i in chosen:
+            continue
+        x, xm = flats[i], masks[i]
         below = [(s, c) for s, c in listed if not s & ~xm]
         factors = sum(c for s, c in below if not any(s != t and not s & ~t for t, _ in below))
         if factors != x.codim:

@@ -22,11 +22,15 @@ nested set is zero without forming the product.
 
 `QuotientElement` is an element of the quotient: one integer numerator
 per basis monomial over one common denominator.  Its products read the
-table, so a product costs one multiply-add per structure constant, in
-integers.  The top-degree quotient has rank one, spanned by c_0^(n-1),
-which is (-1)^(n-1) times the class of a point; the pairing matrices M_j
-give the point-class value of a degree-j basis monomial times a
-degree-(n-1-j) one, and an element pairs with another as a . M . b.
+table (`IdealPresentation._product`, on the numerator lists), so a
+product costs one multiply-add per structure constant, in integers; the
+exponential sums its powers over one denominator and reduces once.  The
+top-degree quotient has rank one, spanned by c_0^(n-1), which is
+(-1)^(n-1) times the class of a point; the pairing matrices M_j give the
+point-class value of a degree-j basis monomial times a degree-(n-1-j)
+one.  An element a pairs with b through its covector u = a . M, an
+integer row over the whole basis (`IdealPresentation.covector`), as the
+dot product u . b over the two denominators.
 """
 
 from __future__ import annotations
@@ -331,6 +335,47 @@ class IdealPresentation:
             ]
         return got
 
+    def covector(self, x: "QuotientElement") -> list[int]:
+        """The integer row u = x.num . M over the whole basis, so that x pairs
+        with y as u . y.num / (x.den * y.den); x.den is not applied.
+
+        u on degree n-1-j is x's degree-j part times M_j, read as the rows
+        of its transpose M_(n-1-j); a degree where x is zero costs nothing.
+        """
+        starts, top, num = self._starts, self.trunc, x.num
+        u = [0] * len(num)
+        for j in range(top + 1):
+            xs = num[starts[j] : starts[j + 1]]
+            if any(xs):
+                u[starts[top - j] : starts[top - j + 1]] = [
+                    sum(map(mul, row, xs)) for row in self.pairing_matrix(top - j)
+                ]
+        return u
+
+    def _product(self, a: list[int], b: list[int]) -> list[int]:
+        """Numerators of the product of two elements with numerators a and b.
+
+        Each pair of nonzero coefficients within the degree bound adds
+        its structure constants, read from the table.
+        """
+        table, degrees, starts, top = self._table, self._degrees, self._starts, self.trunc
+        right = [(j, y) for j, y in enumerate(b) if y]
+        out = [0] * len(a)
+        for i, x in enumerate(a):
+            if not x:
+                continue
+            row, end = table[i], starts[top + 1 - degrees[i]]
+            for j, y in right:
+                if j >= end:
+                    break
+                entry = row[j]
+                if entry is None:
+                    entry = self._constants(i, j)
+                xy = x * y
+                for k, c in entry:
+                    out[k] += xy * c
+        return out
+
     def _limits_of(self, support: int) -> tuple[tuple[int, int], ...]:
         """(v, d) for v in the nested support (a bitmask) and 0, by decreasing
         dimension: d = dim(intersection of the support elements strictly
@@ -452,7 +497,7 @@ class QuotientElement:
 
     Kept in lowest terms, den > 0 and gcd(den, *num) = 1, so equal
     elements have equal fields.  Adds, subtracts and multiplies with
-    elements of the same ring, ints and Fractions.
+    elements of the same ring, and with ints and Fractions on either side.
     """
 
     __slots__ = ("ring", "num", "den")
@@ -478,11 +523,18 @@ class QuotientElement:
         num = [x * fa + y * fb for x, y in zip(self.num, other.num)]
         return QuotientElement(self.ring, num, den)
 
+    __radd__ = __add__
+
     def __neg__(self):
         return QuotientElement(self.ring, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, QuotientElement) else -Fraction(other))
+
+    def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -492,24 +544,10 @@ class QuotientElement:
         if not isinstance(other, QuotientElement):
             return NotImplemented
         self._check(other)
-        ring = self.ring
-        table, degrees, starts, top = ring._table, ring._degrees, ring._starts, ring.trunc
-        right = [(j, y) for j, y in enumerate(other.num) if y]
-        out = [0] * len(self.num)
-        for i, x in enumerate(self.num):
-            if not x:
-                continue
-            row, end = table[i], starts[top + 1 - degrees[i]]
-            for j, y in right:
-                if j >= end:
-                    break
-                entry = row[j]
-                if entry is None:
-                    entry = ring._constants(i, j)
-                xy = x * y
-                for k, c in entry:
-                    out[k] += xy * c
-        return QuotientElement(ring, out, self.den * other.den)
+        num = self.ring._product(self.num, other.num)
+        return QuotientElement(self.ring, num, self.den * other.den)
+
+    __rmul__ = __mul__
 
     def __bool__(self) -> bool:
         return any(self.num)
@@ -525,16 +563,26 @@ class QuotientElement:
     __hash__ = None
 
     def exp(self) -> "QuotientElement":
-        """Truncated exponential; requires zero constant term."""
+        """Truncated exponential; requires zero constant term.
+
+        With x = num / den and t = n - 1, exp(x) is the sum over j <= t of
+        (t! / j!) * den^(t - j) * num^j, over the one denominator t! * den^t:
+        integer products, reduced to lowest terms once at the end.
+        """
         if self.num[0]:
             raise ValueError("exp needs a zero constant term")
-        out = power = self.ring.constant(1)
-        for k in range(1, self.ring.trunc + 1):
-            power = power * self * Fraction(1, k)
-            if not power:
+        ring, num, den, top = self.ring, self.num, self.den, self.ring.trunc
+        total = factorial(top) * den**top
+        out = [total] + [0] * (len(num) - 1)
+        scale, power = total, num
+        for j in range(1, top + 1):
+            if not any(power):
                 break
-            out = out + power
-        return out
+            scale //= j * den
+            out = [o + scale * x for o, x in zip(out, power)]
+            if j < top:
+                power = ring._product(power, num)
+        return QuotientElement(ring, out, total)
 
     def adams(self, k: int) -> "QuotientElement":
         """Adams operation psi^k on a Chern character: scale degree i by k^i."""
@@ -551,19 +599,10 @@ class QuotientElement:
         ]
 
     def pair(self, other: "QuotientElement") -> Fraction:
-        """Point-class value of `self * other`, as self . M . other."""
+        """Point-class value of `self * other`: the dot product of `self`'s
+        covector with `other`'s numerators, over both denominators."""
         self._check(other)
-        ring = self.ring
-        starts, top = ring._starts, ring.trunc
-        x, y = self.num, other.num
-        total = 0
-        for j in range(top + 1):
-            ys = y[starts[top - j] : starts[top - j + 1]]
-            if any(ys) and any(x[starts[j] : starts[j + 1]]):
-                for a, row in enumerate(ring.pairing_matrix(j), starts[j]):
-                    if x[a]:
-                        total += x[a] * sum(map(mul, row, ys))
-        return Fraction(total, self.den * other.den)
+        return Fraction(sum(map(mul, self.ring.covector(self), other.num)), self.den * other.den)
 
     def poly(self) -> GradedPoly:
         """The element as a polynomial over the standard monomials: its normal form."""

@@ -11,20 +11,25 @@ evaluated against the class of a point.  Nonzero multiplicities form the
 spectrum; every candidate is an exact integer, which is asserted.
 
 Every class is a `QuotientElement`, in the quotient ring over its
-standard-monomial basis.  The product ch * Todd is computed once per p,
-and the exponential of the divisor sum of shifts once per distinct
-vector of shifts, both cached on the `SpectrumSetup`; the divisor sum is
-an integer combination of the variables' degree-one normal forms.  Each
-cell pairs the two through the Poincare pairing matrices, as a . M . t,
-without forming their product.  The shifts are computed in integers,
-once per k.
+standard-monomial basis.  The product ch * Todd is computed once per p
+and kept only as its pairing covector u = a . M, an integer row over the
+whole basis with the denominator alongside; the exponential of the
+divisor sum of shifts is computed once per distinct vector of shifts, in
+integers.  Both are cached on the `SpectrumSetup`, and the divisor sum
+is an integer combination of the variables' degree-one normal forms.
+Each cell is then one integer dot product u . t over the two
+denominators, without forming the product of the two classes.  The
+shifts are computed in integers, once per k, and only for element 0 and
+the elements of codimension >= 2: a hyperplane element never shifts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import floor
+from operator import mul
 
 from .arrangement import (
     Arrangement,
@@ -100,8 +105,8 @@ class SpectrumSetup:
     ideal: IdealPresentation
     quotient: CharClasses
     _classes: CharClasses | None = field(default=None, init=False, repr=False, compare=False)
-    # per-cell factors, filled on first use
-    _ch_todd: dict[int, QuotientElement] = field(
+    # per-cell factors, filled on first use: q -> (covector, denominator)
+    _covectors: dict[int, tuple[list[int], int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _twists: dict[tuple[int, ...], QuotientElement] = field(
@@ -124,26 +129,48 @@ class SpectrumSetup:
         return self._classes
 
     def ch_todd(self, q: int) -> QuotientElement:
-        """ch(dual q-th exterior power) * Todd in the quotient, computed once per q."""
-        got = self._ch_todd.get(q)
+        """ch(dual q-th exterior power) * Todd in the quotient."""
+        cl = self.quotient
+        return cl.dual_ch[q] * cl.todd
+
+    def covector(self, q: int) -> tuple[list[int], int]:
+        """`ch_todd(q)` as its pairing covector and denominator, computed once per q."""
+        got = self._covectors.get(q)
         if got is None:
-            cl = self.quotient
-            got = self._ch_todd[q] = cl.dual_ch[q] * cl.todd
+            x = self.ch_todd(q)
+            got = self._covectors[q] = (self.ideal.covector(x), x.den)
         return got
+
+    @cached_property
+    def _twisted(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """(element, codimension, closure) for the elements of codimension >= 2.
+
+        A hyperplane element's closure is its one hyperplane (proportional
+        normals are rejected), so its residue sum r_i / d is below one and
+        its twist coefficient is 1 - 0 - 1 = 0 for every k.
+        """
+        bs = self.building
+        return tuple(
+            (v, bs.codims[v], bs.closures[v]) for v in range(1, bs.size) if bs.codims[v] > 1
+        )
 
     def twist_key(self, k: int) -> tuple[int, ...]:
         """`a_coeff` of every element for the k-th eigenvalue, in integers.
 
         With r_i = (-k * m_i) mod d, floor(s_v) is (sum of r_i over v) // d.
-        Raises ValueError unless k is an int in 1..degree.
+        Only element 0 and the elements of codimension >= 2 are summed; the
+        hyperplane elements are zero.  Raises ValueError unless k is an int
+        in 1..degree.
         """
         d, bs = self.degree, self.building
         _check_index("eigenvalue index", k, 1, d)
         r = [(-k * h.mult) % d for h in self.arrangement.hyperplanes]
         get = r.__getitem__
-        return (bs.n - sum(r) // d,) + tuple(
-            [c - sum(map(get, cl)) // d - 1 for c, cl in zip(bs.codims[1:], bs.closures[1:])]
-        )
+        key = [0] * bs.size
+        key[0] = bs.n - sum(r) // d
+        for v, c, cl in self._twisted:
+            key[v] = c - sum(map(get, cl)) // d - 1
+        return tuple(key)
 
     def twist(self, k: int) -> QuotientElement:
         """`twist_exp` of the k-th eigenvalue in the quotient, computed once per twist vector.
@@ -178,14 +205,19 @@ def multiplicity(setup: SpectrumSetup, k: int, p: int) -> int:
 
 
 def _pair_cell(setup: SpectrumSetup, twist: QuotientElement, k: int, p: int) -> int:
-    """The multiplicity of k/d + p, given the k-th twist; no range checks."""
+    """The multiplicity of k/d + p, given the k-th twist; no range checks.
+
+    One dot product of the cached covector of ch * Todd with the twist.
+    """
     q = setup.n - 1 - p
-    value = setup.ch_todd(q).pair(twist) * (-1) ** q
-    if value.denominator != 1:
+    u, den = setup.covector(q)
+    den *= twist.den
+    total = sum(map(mul, u, twist.num)) * (-1) ** q
+    if total % den:
         raise StructureError(
-            f"non-integral multiplicity {value} at k={k}, p={p}"
+            f"non-integral multiplicity {Fraction(total, den)} at k={k}, p={p}"
         )
-    return int(value)
+    return total // den
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,7 +249,7 @@ def spectrum_from_setup(setup: SpectrumSetup) -> SpectrumResult:
     for p in range(n):
         for k, twist in enumerate(twists[: d - (p == n - 1)], start=1):
             if m := _pair_cell(setup, twist, k, p):
-                points.append(SpectralPoint(Fraction(k, d) + p, m, k, p))
+                points.append(SpectralPoint(Fraction(k + p * d, d), m, k, p))
     return SpectrumResult(d, tuple(points))
 
 

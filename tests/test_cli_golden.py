@@ -1,9 +1,11 @@
 """The CLI prints, byte for byte, what tests/golden/cli/ records.
 
 Each golden file holds one command's exit code on its first line
-(`exit N`) and then its stdout.  To record new output after an intended
-change, run `PYTHONPATH=src python tests/test_cli_golden.py` and review
-the diff.
+(`exit N`) and then its stdout.  The built-in fixtures stop at n = 3; the
+JSON input documents in the same directory (braid A4 and a weighted
+rank-4 arrangement, both in C^4) pin degree-3 rings.  To record new
+output after an intended change, run
+`PYTHONPATH=src python tests/test_cli_golden.py` and review the diff.
 """
 
 from __future__ import annotations
@@ -26,8 +28,11 @@ FIXTURES = [
     "lines:9",
     "generic3d:5",
 ]
+# input documents, by file stem in GOLDEN
+DOCUMENTS = ["braid-a4", "weighted-c4"]
 COMMANDS = {"compute": ["--json"], "verify": [], "lattice": ["--json"]}
 CASES = [(f, c) for f in FIXTURES for c in COMMANDS]
+CASES += [(f, c) for f in DOCUMENTS for c in ("compute", "verify")]
 
 
 def _golden_path(fixture: str, command: str) -> Path:
@@ -35,9 +40,10 @@ def _golden_path(fixture: str, command: str) -> Path:
 
 
 def _run(fixture: str, command: str) -> str:
+    source = str(GOLDEN / f"{fixture}.json") if fixture in DOCUMENTS else fixture
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([command, fixture, *COMMANDS[command]])
+        code = main([command, source, *COMMANDS[command]])
     return f"exit {code}\n{out.getvalue()}"
 
 

@@ -37,7 +37,8 @@ from arrspec import (
     spectrum,
     spectrum_from_setup,
 )
-from arrspec import cli, ring
+from arrspec import chern, cli, ring
+from arrspec.chern import q_series, series_log
 from arrspec.fixtures import resolve_fixture
 from arrspec.linalg import EchelonBasis
 
@@ -387,3 +388,83 @@ def test_irreducible_braid_ranks_are_keel_betti_numbers():
         irreducible = building_from_closures(build_lattice(arr), closures)
         assert not irreducible.is_maximal
         assert ideal_generators(irreducible).quotient_ranks == keel_betti(n + 2)
+
+
+def random_element(rng, ideal, den):
+    """An element with random small numerators over the basis and denominator `den`."""
+    num = [rng.choice((0, 0, rng.randint(-9, 9))) for _ in ideal.basis]
+    return ring.QuotientElement(ideal, num, den)
+
+
+def bilinear_pairing(x, y):
+    """x . M . y, summed block by block over the degrees j, in Fractions."""
+    ideal = x.ring
+    starts, top = ideal._starts, ideal.trunc
+    total = Fraction(0)
+    for j in range(top + 1):
+        for a, row in enumerate(ideal.pairing_matrix(j), starts[j]):
+            for b, m in enumerate(row, starts[top - j]):
+                total += Fraction(x.num[a], x.den) * m * Fraction(y.num[b], y.den)
+    return total
+
+
+def test_covector_dot_is_the_bilinear_pairing(setups):
+    rng = random.Random(13)
+    for ideal in [s.ideal for s in setups.values()] + braid_a4_ideals():
+        for _ in range(10):
+            x, y = random_element(rng, ideal, rng.randint(1, 6)), random_element(rng, ideal, 1)
+            u = ideal.covector(x)
+            assert len(u) == len(ideal.basis) and all(type(c) is int for c in u)
+            want = bilinear_pairing(x, y)
+            assert Fraction(sum(a * b for a, b in zip(u, y.num)), x.den * y.den) == want
+            assert x.pair(y) == want == y.pair(x)
+
+
+def fraction_exp(x):
+    """The sum of x^j / j! over j <= n - 1, stepped with `__mul__` and Fractions."""
+    out = power = x.ring.constant(1)
+    for j in range(1, x.ring.trunc + 1):
+        power = power * x * Fraction(1, j)
+        out = out + power
+    return out
+
+
+def test_integer_exp_matches_the_fraction_series(setups):
+    rng = random.Random(17)
+    for setup in setups.values():
+        ideal, top = setup.ideal, setup.n - 1
+        # the Todd class's root sum: its denominator is above one from C^3 on
+        roots = chern._root_sum(series_log(q_series(top)), setup.quotient.tangent)
+        assert roots.den > 1 or top == 1
+        cases = [roots, ideal.linear(setup.twist_key(1))]
+        for _ in range(5):
+            x = random_element(rng, ideal, rng.randint(1, 12))
+            cases.append(x - x.num[0] * Fraction(1, x.den))
+        # powers that vanish early: x^2 = 0 when x has no part below degree n/2
+        high = [i >= ideal._starts[(top + 2) // 2] for i in range(len(ideal.basis))]
+        for _ in range(3):
+            x = random_element(rng, ideal, rng.randint(1, 5))
+            x = ring.QuotientElement(ideal, [c if h else 0 for c, h in zip(x.num, high)], x.den)
+            assert not x * x
+            assert x.exp() == x + 1
+            cases.append(x)
+        for x in cases:
+            assert x.exp() == fraction_exp(x)
+        assert roots.exp() == setup.quotient.todd
+
+
+def test_ints_and_fractions_act_from_either_side(setups):
+    # chern.py runs one body on GradedPoly and QuotientElement, so both
+    # must take a plain number on the left
+    half = Fraction(1, 2)
+    for setup in setups.values():
+        poly = setup.classes.todd
+        x = setup.ideal.element(poly)
+        assert 2 * x == x * 2 == x + x
+        assert 1 + x == x + 1
+        assert 1 - x == -x + 1 == -(x - 1)
+        assert half * x == x * half
+        assert setup.ideal.element(2 * poly) == 2 * x
+        assert setup.ideal.element(1 + poly) == 1 + x
+        assert setup.ideal.element(1 - poly) == 1 - x
+        assert setup.ideal.element(half * poly) == half * x

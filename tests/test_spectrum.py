@@ -25,6 +25,7 @@ from arrspec import (
     spectrum_from_setup,
 )
 from arrspec.fixtures import resolve_fixture
+from test_quotient import braid, fraction_exp
 
 
 def pairs(result):
@@ -352,11 +353,12 @@ def test_integer_twist_key_matches_fraction_coefficients(setups):
 
 
 def test_non_integral_multiplicity_raises_structure_error():
-    # halve the cached ch * Todd factor of the exponent 2/3 (k = 2, p = 0)
+    # halve the cached ch * Todd covector of the exponent 2/3 (k = 2, p = 0)
     setup = prepare(resolve_fixture("example-a"))
     q = setup.n - 1
     assert multiplicity(setup, 2, 0) == 1
-    setup._ch_todd[q] = setup.ch_todd(q) * Fraction(1, 2)
+    u, den = setup.covector(q)
+    setup._covectors[q] = (u, 2 * den)
     with pytest.raises(StructureError):
         multiplicity(setup, 2, 0)
 
@@ -431,3 +433,46 @@ def test_reduced_planes_in_c3_match_budur_saito(normals):
     points = [len(f.closure) for f in setup.lattice.flats if f.codim == 2]
     got = {pt.alpha: pt.mult for pt in spectrum_from_setup(setup).points}
     assert got == budur_saito(len(normals), points)
+
+
+@st.composite
+def weighted_arrangements(draw):
+    n = draw(st.sampled_from([2, 3, 4]))
+    pool = [v for v in product((-1, 0, 1, 2), repeat=n) if any(v) and next(c for c in v if c) > 0]
+    pool = [v for v in pool if gcd(*v) == 1]
+    most = 6 if n < 4 else 5
+    normals = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=most, unique=True))
+    mults = draw(st.lists(st.integers(1, 4), min_size=len(normals), max_size=len(normals)))
+    return Arrangement.from_normals(n, normals, mults)
+
+
+@settings(max_examples=25, deadline=None)
+@given(weighted_arrangements())
+def test_twist_key_vanishes_on_hyperplane_elements(arr):
+    setup = prepare(arr)
+    bs = setup.building
+    hyperplanes = [v for v in range(1, bs.size) if bs.codims[v] == 1]
+    assert len(hyperplanes) == arr.size
+    for k in range(1, setup.degree + 1):
+        key = setup.twist_key(k)
+        assert all(key[v] == 0 for v in hyperplanes), k
+        eig = beta(arr, k)
+        assert key == tuple(a_coeff(bs, v, eig) for v in range(bs.size)), k
+
+
+def test_every_cell_is_the_covector_dot_the_multiplicity_and_the_fraction_route(setups):
+    # the Fraction route: the quotient product of ch * Todd with the
+    # Fraction-stepped exponential, read at the point class c_0^(n-1)
+    arr, closures = braid(4)
+    cases = list(setups.values()) + [prepare(arr, closures)]
+    for setup in cases:
+        n, d, ideal = setup.n, setup.degree, setup.ideal
+        cells = {(pt.k, pt.p): pt.mult for pt in spectrum_from_setup(setup).points}
+        for k in range(1, d + 1):
+            twist = fraction_exp(ideal.linear(setup.twist_key(k)))
+            assert twist == setup.twist(k)
+            for p in range(n - (k == d)):
+                q = n - 1 - p
+                top = setup.ch_todd(q) * twist
+                want = Fraction(top.num[-1], top.den) * (-1) ** (n - 1 + q)
+                assert cells.get((k, p), 0) == multiplicity(setup, k, p) == want, (k, p)
