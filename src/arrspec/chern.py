@@ -23,9 +23,12 @@ powers of the dual log forms follow from the lambda-ring Newton identity
 
 where the Adams operation psi^j scales the degree-i part by j^i.
 
-Every root is an integer combination of the variables.  `char_classes`
-runs one body on either kind of element: free-ring `GradedPoly`s, or,
-given the relation ideal, `QuotientElement`s, whose roots are integer
+Every root is an integer combination of the variables, handed to the
+ring as a sparse map {variable: coefficient} that names only the
+variables it uses: minus the variables of c_0, of the elements strictly
+below v or of those weakly below v, or c_v alone.  `char_classes` runs
+one body on either kind of element: free-ring `GradedPoly`s, or, given
+the relation ideal, `QuotientElement`s, whose roots are integer
 combinations of the variables' degree-one normal forms and whose
 products read the ideal's integer structure constants.  The total and
 log Chern classes are built from the stored power sums when first read;
@@ -88,36 +91,32 @@ def tangent_roots(bs: BuildingSet, linear=None) -> list[tuple[int, Element]]:
     """Virtual Chern roots of the resolution's tangent bundle.
 
     A list of (multiplicity, first Chern class) pairs; the total Chern
-    class is the product of (1 + x)^m over them.  `linear` turns integer
-    coefficients of the variables into a class; by default a free-ring
-    `GradedPoly`.
+    class is the product of (1 + x)^m over them.  `linear` turns a sparse
+    map {variable: integer coefficient} into a class; by default a
+    free-ring `GradedPoly`.
     """
-    linear = linear or partial(GradedPoly.linear, trunc=bs.n - 1)
+    linear = linear or partial(GradedPoly.linear, nvars=bs.size, trunc=bs.n - 1)
     return _dual_log_roots(bs, linear) + _unit_roots(bs, linear)
 
 
 def _dual_log_roots(bs: BuildingSet, linear) -> list[tuple[int, Element]]:
     """The roots of the dual log forms, the tangent roots without the c_v,
-    with the multiplicities of equal roots summed."""
-    nv = bs.size
-    mults = {(-1,) + (0,) * (nv - 1): bs.n}
-    for v in range(1, nv):
-        r = bs.codims[v]
-        coeffs = [0] * nv
-        for w in bs.below[v]:
-            coeffs[w] = -1
-        strict = tuple(coeffs)
+    with the multiplicities of equal roots summed.
+
+    Each root is minus the sum of the variables of a set, and is keyed by it.
+    """
+    mults = {frozenset((0,)): bs.n}
+    for v in range(1, bs.size):
+        r, strict = bs.codims[v], bs.below[v]
         mults[strict] = mults.get(strict, 0) - r
-        coeffs[v] = -1
-        weak = tuple(coeffs)
+        weak = strict | {v}
         mults[weak] = mults.get(weak, 0) + r
-    return [(m, linear(c)) for c, m in mults.items() if m]
+    return [(m, linear(dict.fromkeys(s, -1))) for s, m in mults.items() if m]
 
 
 def _unit_roots(bs: BuildingSet, linear) -> list[tuple[int, Element]]:
     """c_v once for each element v > 0."""
-    nv = bs.size
-    return [(1, linear([int(w == v) for w in range(nv)])) for v in range(1, nv)]
+    return [(1, linear({v: 1})) for v in range(1, bs.size)]
 
 
 def _power_sums(roots: list[tuple[int, Element]], trunc: int, zero: Element) -> list[Element]:
@@ -184,9 +183,10 @@ def char_classes(bs: BuildingSet, ideal: IdealPresentation | None = None) -> Cha
 
     Free-ring `GradedPoly`s, or `QuotientElement`s in the quotient by `ideal`.
     """
-    nv, trunc = bs.size, bs.n - 1
-    linear = partial(GradedPoly.linear, trunc=trunc) if ideal is None else ideal.linear
-    zero = linear([0] * nv)
+    trunc = bs.n - 1
+    free = partial(GradedPoly.linear, nvars=bs.size, trunc=trunc)
+    linear = free if ideal is None else ideal.linear
+    zero = linear({})
     dual_log = _power_sums(_dual_log_roots(bs, linear), trunc, zero)
     units = _power_sums(_unit_roots(bs, linear), trunc, zero)
     tangent = [a + b for a, b in zip(dual_log, units)]

@@ -26,37 +26,38 @@ from .arrangement import (
 from .checks import run_checks
 from .docio import load_input, parse_closure_sets, render, result_to_dict
 from .fixtures import fixture_names, resolve_fixture
-from .nested import building_from_closures, maximal_building
-from .spectrum import prepare, spectrum_from_setup
+from .spectrum import choose_building, prepare, spectrum_from_setup
 
 
-def _load(source: str):
-    arrangement = resolve_fixture(source)
-    if arrangement is not None:
+def _load(args):
+    """The arrangement, and the closure sets of its building set (None: maximal).
+
+    `--building-set` decides when given: `maximal`, or a JSON file of
+    closure sets.  Without it the input document does.
+    """
+    arrangement, closures = resolve_fixture(args.source), None
+    if arrangement is None:
+        doc = load_input(args.source)
+        arrangement, closures = doc.arrangement, doc.building_closures
+    path = args.building_set
+    if path is None:
+        return arrangement, closures
+    if path == "maximal":
         return arrangement, None
-    doc = load_input(source)
-    return doc.arrangement, doc.building_closures
-
-
-def _building_option(value: str, file_closures):
-    """Closure sets from --building-set, falling back to the input document."""
-    if value == "maximal":
-        return file_closures
     try:
-        with open(value, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise ValidationError(f"cannot read {value}: {exc.strerror}") from None
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(
-            f"{value}: not valid JSON (line {exc.lineno}, column {exc.colno})"
+            f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno})"
         ) from None
-    return parse_closure_sets(raw, value)
+    return arrangement, parse_closure_sets(raw, path)
 
 
 def _cmd_compute(args) -> int:
-    arrangement, file_closures = _load(args.source)
-    closures = _building_option(args.building_set, file_closures)
+    arrangement, closures = _load(args)
     setup = prepare(arrangement, closures)
     result = spectrum_from_setup(setup)
     checks = None if args.no_checks else run_checks(setup, result)
@@ -75,14 +76,9 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    arrangement, file_closures = _load(args.source)
-    closures = _building_option(args.building_set, file_closures)
+    arrangement, closures = _load(args)
     lattice = build_lattice(arrangement)
-    bs = (
-        maximal_building(lattice)
-        if closures is None
-        else building_from_closures(lattice, closures)
-    )
+    bs = choose_building(lattice, closures)
     euler = euler_projective_complement(lattice)
     if args.json:
         doc = {
@@ -133,8 +129,7 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    arrangement, file_closures = _load(args.source)
-    closures = _building_option(args.building_set, file_closures)
+    arrangement, closures = _load(args)
     setup = prepare(arrangement, closures)
     result = spectrum_from_setup(setup)
     checks = run_checks(setup, result)
@@ -176,9 +171,9 @@ def _parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--building-set",
-            default="maximal",
             metavar="maximal|FILE",
-            help="maximal (default) or a JSON file with explicit closure sets",
+            help="maximal, or a JSON file with explicit closure sets; without it, the "
+            "input document's building_set (maximal if it lists none)",
         )
 
     p_compute = sub.add_parser("compute", help="compute the Hodge spectrum")

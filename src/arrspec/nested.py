@@ -34,29 +34,33 @@ class BuildingSet:
         "_elem_of",
     )
 
-    def __init__(self, lattice: IntersectionLattice, flats, zero_flat_included: bool) -> None:
+    def __init__(self, lattice: IntersectionLattice, indices) -> None:
+        """The building set of the proper flats at the given lattice indices."""
         self.lattice = lattice
-        self.flats: tuple[Flat, ...] = tuple(flats)
-        n = lattice.n
+        chosen = set(indices)
+        if not all(0 < i < len(lattice.flats) for i in chosen):
+            raise ValueError("building-set elements must be proper flats of the lattice")
+        # the origin, when listed, is the formal element 0
+        origin = {i for i in chosen if lattice.flats[i].dim == 0}
+        # ascending dimension; within one dimension the lattice orders by closure
+        order = sorted(chosen - origin, key=lambda i: (lattice.flats[i].dim, i))
+        self.flats: tuple[Flat, ...] = tuple(lattice.flats[i] for i in order)
         self.dims = (0,) + tuple(f.dim for f in self.flats)
-        self.codims = (n,) + tuple(f.codim for f in self.flats)
+        self.codims = (lattice.n,) + tuple(f.codim for f in self.flats)
         self.closures = (None,) + tuple(f.closure for f in self.flats)
-        index = [lattice.flat_index(c) for c in self.closures[1:]]
         # closures as bitmasks; the formal zero element lies on every hyperplane
-        self.masks = ((1 << lattice.arrangement.size) - 1,) + tuple(lattice.masks[i] for i in index)
+        self.masks = ((1 << lattice.arrangement.size) - 1,) + tuple(lattice.masks[i] for i in order)
         # below[v]: the elements strictly below v; a flat strictly below v has
         # smaller dimension, so it comes earlier in the element order
         self.below: tuple[frozenset[int], ...] = tuple(
             frozenset(w for w in range(v) if not mv & ~self.masks[w])
             for v, mv in enumerate(self.masks)
         )
-        self.zero_flat_included = zero_flat_included
-        # lattice index -> element; the origin is element 0 when it is listed
-        self._elem_of = {i: e for e, i in enumerate(index, start=1)}
-        if zero_flat_included:
-            self._elem_of[lattice.join(self.masks[0])] = 0
+        self.zero_flat_included = bool(origin)
+        # lattice index -> element
+        self._elem_of = {i: e for e, i in enumerate(order, start=1)} | dict.fromkeys(origin, 0)
         # every proper flat is listed, the origin as element 0
-        self.is_maximal = len(self.flats) + zero_flat_included == len(lattice.flats) - 1
+        self.is_maximal = len(chosen) == len(lattice.flats) - 1
 
     @property
     def n(self) -> int:
@@ -107,7 +111,7 @@ class BuildingSet:
 
 def maximal_building(lattice: IntersectionLattice) -> BuildingSet:
     """Building set containing every proper flat."""
-    return building_from_closures(lattice, (f.closure for f in lattice.flats if f.codim > 0))
+    return BuildingSet(lattice, range(1, len(lattice.flats)))
 
 
 def building_from_closures(lattice: IntersectionLattice, closure_sets) -> BuildingSet:
@@ -144,11 +148,7 @@ def building_from_closures(lattice: IntersectionLattice, closure_sets) -> Buildi
                 f"not a building set: the smallest listed flats containing {list(x.closure)!r} "
                 f"have codimensions summing to {factors}, not its codimension {x.codim}"
             )
-    return BuildingSet(
-        lattice,
-        sorted((flats[i] for i in chosen if flats[i].dim > 0), key=lambda f: (f.dim, f.closure)),
-        zero_flat_included=any(flats[i].dim == 0 for i in chosen),
-    )
+    return BuildingSet(lattice, chosen)
 
 
 def _check_elements(bs: BuildingSet, subset) -> list[int]:

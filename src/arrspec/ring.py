@@ -84,11 +84,11 @@ class GradedPoly:
         return cls(nvars, trunc, {mono: _ONE})
 
     @classmethod
-    def linear(cls, coeffs, trunc: int) -> "GradedPoly":
-        """The degree-one polynomial sum of coeffs[v] * c_v."""
-        nv = len(coeffs)
-        units = {tuple(int(j == v) for j in range(nv)): a for v, a in enumerate(coeffs) if a}
-        return cls(nv, trunc, units)
+    def linear(cls, coeffs, nvars: int, trunc: int) -> "GradedPoly":
+        """The degree-one polynomial sum of a * c_v over the items (v, a) of `coeffs`."""
+        if not all(0 <= v < nvars for v in coeffs):
+            raise ValueError(f"variable indices {sorted(coeffs)!r} out of range 0..{nvars - 1}")
+        return cls(nvars, trunc, {_monomial(nvars, [(v, 1)]): a for v, a in coeffs.items()})
 
     def _like(self, terms: dict[Monomial, Fraction]) -> "GradedPoly":
         p = GradedPoly.__new__(GradedPoly)
@@ -291,9 +291,9 @@ class IdealPresentation:
             [None] * len(self.basis) for _ in self.basis
         ]
         self._pairing: list[list[list[int]] | None] = [None] * (self.trunc + 1)
-        # each variable's normal form, of degree one, as (index, integer) pairs
+        # variable -> its normal form, (index, integer) pairs; `linear` raises KeyError on others
         units = [_monomial(nv, [(v, 1)]) for v in range(nv)]
-        self._images = [_integral(self._form(u), u) for u in units]
+        self._images = dict(enumerate(_integral(self._form(u), u) for u in units))
 
     @property
     def trunc(self) -> int:
@@ -469,12 +469,11 @@ class IdealPresentation:
         return QuotientElement(self, [c.numerator] + [0] * (len(self.basis) - 1), c.denominator)
 
     def linear(self, coeffs) -> "QuotientElement":
-        """The class of the sum of coeffs[v] * c_v, for integer coefficients."""
+        """The class of the sum of a * c_v over the items (v, a) of `coeffs`, a in the integers."""
         num = [0] * len(self.basis)
-        for v, a in enumerate(coeffs):
-            if a:
-                for i, c in self._images[v]:
-                    num[i] += a * c
+        for v, a in coeffs.items():
+            for i, c in self._images[v]:
+                num[i] += a * c
         return QuotientElement(self, num)
 
     def element(self, poly: GradedPoly) -> "QuotientElement":

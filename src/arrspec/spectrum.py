@@ -81,7 +81,8 @@ def a_coeff(bs: BuildingSet, elem: int, eig: EigenData) -> int:
 
 def twist_exp(bs: BuildingSet, eig: EigenData) -> GradedPoly:
     """exp of the divisor with the integer twist coefficients, in the free ring."""
-    return GradedPoly.linear([a_coeff(bs, v, eig) for v in range(bs.size)], bs.n - 1).exp()
+    coeffs = {v: a_coeff(bs, v, eig) for v in range(bs.size)}
+    return GradedPoly.linear(coeffs, bs.size, bs.n - 1).exp()
 
 
 def r_alpha(classes: CharClasses, eig: EigenData, p: int) -> GradedPoly:
@@ -180,18 +181,21 @@ class SpectrumSetup:
         key = self.twist_key(k)
         got = self._twists.get(key)
         if got is None:
-            got = self._twists[key] = self.ideal.linear(key).exp()
+            got = self._twists[key] = self.ideal.linear(dict(enumerate(key))).exp()
         return got
 
 
-def prepare(arrangement: Arrangement, building_closures=None) -> SpectrumSetup:
-    lattice = build_lattice(arrangement)
+def choose_building(lattice: IntersectionLattice, building_closures) -> BuildingSet:
+    """The maximal building set, or the one the closure sets list, checked."""
     if building_closures is None:
-        bs = maximal_building(lattice)
-    else:
-        bs = building_from_closures(lattice, building_closures)
+        return maximal_building(lattice)
+    return building_from_closures(lattice, building_closures)
+
+
+def prepare(arrangement: Arrangement, building_closures=None) -> SpectrumSetup:
+    bs = choose_building(build_lattice(arrangement), building_closures)
     ideal = ideal_generators(bs)
-    return SpectrumSetup(arrangement, lattice, bs, ideal, char_classes(bs, ideal))
+    return SpectrumSetup(arrangement, bs.lattice, bs, ideal, char_classes(bs, ideal))
 
 
 def multiplicity(setup: SpectrumSetup, k: int, p: int) -> int:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +198,23 @@ def test_building_set_file_option(capsys, tmp_path):
     code2, base_out, _ = run(capsys, "compute", "example-a")
     assert code2 == 0
     assert json.loads(out)["spectrum"] == json.loads(base_out)["spectrum"]
+
+
+def test_building_set_option_overrides_the_document(capsys, tmp_path):
+    # example-b1's planes, listing the building set of its irreducible flats
+    doc = str(Path(__file__).resolve().parent / "golden" / "cli" / "custom-b1.json")
+    _, out, _ = run(capsys, "lattice", doc)
+    assert "building set (5 elements, custom):" in out
+    code, out, _ = run(capsys, "lattice", doc, "--building-set", "maximal")
+    assert code == 0 and "building set (11 elements, maximal):" in out
+    code, out, _ = run(capsys, "compute", doc, "--building-set", "maximal")
+    assert code == 0 and out == run(capsys, "compute", "example-b1")[1]
+    path = tmp_path / "building.json"
+    path.write_text(json.dumps([[0], [1], [2], [3], [0, 1, 2, 3]]))
+    code, out, _ = run(capsys, "lattice", "example-b1", "--building-set", str(path))
+    assert code == 0 and "building set (5 elements, custom):" in out
+    code, out, _ = run(capsys, "compute", "example-b1", "--building-set", str(path))
+    assert code == 0 and out == run(capsys, "compute", doc)[1]
 
 
 def test_building_set_file_invalid(capsys, tmp_path):

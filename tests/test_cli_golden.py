@@ -3,7 +3,9 @@
 Each golden file holds one command's exit code on its first line
 (`exit N`) and then its stdout.  The built-in fixtures stop at n = 3; the
 JSON input documents in the same directory (braid A4 and a weighted
-rank-4 arrangement, both in C^4) pin degree-3 rings.  To record new
+rank-4 arrangement, both in C^4) pin degree-3 rings, and a third
+(example-b1's planes with the building set of its irreducible flats) pins
+a custom building set.  To record new
 output after an intended change, run
 `PYTHONPATH=src python tests/test_cli_golden.py` and review the diff.
 """
@@ -29,21 +31,29 @@ FIXTURES = [
     "generic3d:5",
 ]
 # input documents, by file stem in GOLDEN
-DOCUMENTS = ["braid-a4", "weighted-c4"]
-COMMANDS = {"compute": ["--json"], "verify": [], "lattice": ["--json"]}
-CASES = [(f, c) for f in FIXTURES for c in COMMANDS]
-CASES += [(f, c) for f in DOCUMENTS for c in ("compute", "verify")]
+DOCUMENTS = ["braid-a4", "weighted-c4", "custom-b1"]
+# case name in the golden file name -> command line after the source
+COMMANDS = {
+    "compute": ["compute", "--json"],
+    "verify": ["verify"],
+    "lattice": ["lattice", "--json"],
+    "compute-text": ["compute", "--no-json"],
+    "verify-json": ["verify", "--json"],
+}
+CASES = [(f, c) for f in FIXTURES + DOCUMENTS for c in ("compute", "verify", "lattice")]
+CASES += [("example-b1", "compute-text"), ("example-b1", "verify-json")]
 
 
-def _golden_path(fixture: str, command: str) -> Path:
-    return GOLDEN / f"{fixture.replace(':', '-')}.{command}.txt"
+def _golden_path(fixture: str, case: str) -> Path:
+    return GOLDEN / f"{fixture.replace(':', '-')}.{case}.txt"
 
 
-def _run(fixture: str, command: str) -> str:
+def _run(fixture: str, case: str) -> str:
     source = str(GOLDEN / f"{fixture}.json") if fixture in DOCUMENTS else fixture
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([command, source, *COMMANDS[command]])
+        command, *options = COMMANDS[case]
+        code = main([command, source, *options])
     return f"exit {code}\n{out.getvalue()}"
 
 
@@ -51,12 +61,12 @@ def test_every_golden_file_is_a_case():
     assert sorted(GOLDEN.glob("*.txt")) == sorted(_golden_path(f, c) for f, c in CASES)
 
 
-@pytest.mark.parametrize("fixture,command", CASES, ids=[f"{f}-{c}" for f, c in CASES])
-def test_cli_prints_its_golden_output(fixture, command):
-    assert _run(fixture, command) == _golden_path(fixture, command).read_text(encoding="utf-8")
+@pytest.mark.parametrize("fixture,case", CASES, ids=[f"{f}-{c}" for f, c in CASES])
+def test_cli_prints_its_golden_output(fixture, case):
+    assert _run(fixture, case) == _golden_path(fixture, case).read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for fixture, command in CASES:
-        _golden_path(fixture, command).write_text(_run(fixture, command), encoding="utf-8")
+    for fixture, case in CASES:
+        _golden_path(fixture, case).write_text(_run(fixture, case), encoding="utf-8")

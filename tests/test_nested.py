@@ -9,6 +9,7 @@ from test_ring import TERNARY, building_closure
 
 from arrspec import (
     Arrangement,
+    BuildingSet,
     ValidationError,
     build_lattice,
     building_from_closures,
@@ -17,6 +18,7 @@ from arrspec import (
     is_nested,
     maximal_building,
 )
+from arrspec.fixtures import resolve_fixture
 
 THREE_LINES = build_lattice(Arrangement.from_normals(2, [(1, 0), (0, 1), (1, 1)]))
 QUARTIC = build_lattice(
@@ -128,6 +130,39 @@ def test_enumerate_nested_equals_is_nested_filter(data):
             if is_nested(bs, sub)
         }
         assert set(enumerate_nested(bs, bs.n - 1)) == expected
+
+
+def assert_maximal_is_the_checked_full_selection(lattice):
+    # maximal_building skips the axiom check; the checked route must agree
+    fast = maximal_building(lattice)
+    every = [f.closure for f in lattice.flats if f.codim > 0]
+    checked = building_from_closures(lattice, every)
+    for name in ("flats", "dims", "codims", "closures", "masks", "below", "_elem_of"):
+        assert getattr(fast, name) == getattr(checked, name), name
+    assert fast.zero_flat_included == checked.zero_flat_included == lattice.is_essential
+    assert fast.is_maximal and checked.is_maximal
+
+
+def test_maximal_building_equals_the_checked_full_selection_on_fixtures():
+    names = ["example-a", "example-a-weighted", "example-b1", "example-b2", "generic3d:5"]
+    for lattice in [THREE_LINES, QUARTIC, SINGLE] + [build_lattice(resolve_fixture(n)) for n in names]:
+        assert_maximal_is_the_checked_full_selection(lattice)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_maximal_building_equals_the_checked_full_selection(data):
+    n = data.draw(st.sampled_from([3, 4]))
+    normals = st.lists(st.sampled_from(TERNARY[n]), min_size=1, max_size=6, unique=True)
+    assert_maximal_is_the_checked_full_selection(
+        build_lattice(Arrangement.from_normals(n, data.draw(normals)))
+    )
+
+
+def test_building_set_takes_proper_flats_only():
+    for bad in ([0], [len(QUARTIC.flats)]):
+        with pytest.raises(ValueError):
+            BuildingSet(QUARTIC, bad)
 
 
 def test_enumerate_nested_is_downward_closed():

@@ -188,6 +188,34 @@ def test_element_product_is_the_normal_form_of_the_free_product(setups):
             assert product.poly() == ideal.element(a * b).poly(), name
 
 
+def random_linear_map(rng, bs):
+    """A sparse {variable: coefficient} map over element 0, a hyperplane
+    element and a few others, with one coefficient zero."""
+    hyperplane = rng.choice([v for v in range(1, bs.size) if bs.codims[v] == 1])
+    chosen = [0, hyperplane, *rng.sample(range(bs.size), min(3, bs.size))]
+    coeffs = {v: rng.randint(-3, 3) for v in chosen}
+    coeffs[rng.choice(chosen)] = 0
+    return coeffs
+
+
+def test_sparse_linear_is_the_class_of_the_free_linear_form(setups):
+    rng = random.Random(29)
+    for ideal in [s.ideal for s in setups.values()] + braid_a4_ideals():
+        bs = ideal.building
+        nv, trunc = bs.size, ideal.trunc
+        maps = [{}, {0: 1}, {nv - 1: -2}] + [random_linear_map(rng, bs) for _ in range(8)]
+        for m in maps:
+            free = GradedPoly.linear(m, nv, trunc)
+            terms = (GradedPoly.variable(v, nv, trunc) * a for v, a in m.items())
+            assert free == sum(terms, GradedPoly.zero(nv, trunc)), m
+            assert ideal.linear(m) == ideal.element(free), m
+        for bad in ({nv: 1}, {-1: 1}):
+            with pytest.raises(ValueError):
+                GradedPoly.linear(bad, nv, trunc)
+            with pytest.raises(KeyError):
+                ideal.linear(bad)
+
+
 def test_structure_constants_are_integral_commutative_and_associative(setups):
     rng = random.Random(3)
     for ideal in [s.ideal for s in setups.values()] + braid_a4_ideals():
@@ -436,7 +464,7 @@ def test_integer_exp_matches_the_fraction_series(setups):
         # the Todd class's root sum: its denominator is above one from C^3 on
         roots = chern._root_sum(series_log(q_series(top)), setup.quotient.tangent)
         assert roots.den > 1 or top == 1
-        cases = [roots, ideal.linear(setup.twist_key(1))]
+        cases = [roots, ideal.linear(dict(enumerate(setup.twist_key(1))))]
         for _ in range(5):
             x = random_element(rng, ideal, rng.randint(1, 12))
             cases.append(x - x.num[0] * Fraction(1, x.den))

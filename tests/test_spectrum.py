@@ -469,7 +469,7 @@ def test_every_cell_is_the_covector_dot_the_multiplicity_and_the_fraction_route(
         n, d, ideal = setup.n, setup.degree, setup.ideal
         cells = {(pt.k, pt.p): pt.mult for pt in spectrum_from_setup(setup).points}
         for k in range(1, d + 1):
-            twist = fraction_exp(ideal.linear(setup.twist_key(k)))
+            twist = fraction_exp(ideal.linear(dict(enumerate(setup.twist_key(k)))))
             assert twist == setup.twist(k)
             for p in range(n - (k == d)):
                 q = n - 1 - p
