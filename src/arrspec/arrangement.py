@@ -16,7 +16,8 @@ of rank r keeps the echelon basis of its normals, each cleared to its
 primitive integer direction, so the elimination runs in integers.  A
 cover is that basis plus one more normal, and only hyperplanes outside
 every cover already found from it need a containment test, since two
-covers of a flat share only the flat's own hyperplanes.  Once the
+covers of a flat share only the flat's own hyperplanes.  A cover of rank
+n is the origin, which needs no elimination.  Once the
 lattice is built, every closure query is `IntersectionLattice.join`, a
 cached scan over the flats' bitmasks: no elimination runs after
 `build_lattice`.
@@ -198,10 +199,6 @@ class IntersectionLattice:
     def flat_index(self, closure) -> int | None:
         return self._index.get(tuple(sorted(closure)))
 
-    def flat_by_closure(self, closure) -> Flat | None:
-        i = self.flat_index(closure)
-        return None if i is None else self.flats[i]
-
     def leq(self, a: Flat, b: Flat) -> bool:
         """Subspace containment: a <= b."""
         return set(b.closure) <= set(a.closure)
@@ -267,6 +264,11 @@ def build_lattice(arrangement: Arrangement) -> IntersectionLattice:
         nxt = []
         for cl, basis in frontier:
             rank = basis.rank + 1
+            if rank == n:
+                # the one cover is the origin, which every hyperplane contains
+                if len(cl) < m:
+                    found.setdefault(tuple(range(m)), n)
+                continue
             covered = set(cl)
             for i in range(m):
                 if i in covered:
@@ -276,8 +278,6 @@ def build_lattice(arrangement: Arrangement) -> IntersectionLattice:
                 if rank == 1:
                     # proportional normals are rejected by Arrangement
                     closure = (i,)
-                elif rank == n:
-                    closure = tuple(range(m))
                 else:
                     # every j < i outside the flat lies in an earlier cover
                     extra = [

@@ -12,9 +12,12 @@ its Feichtner-Yuzvinsky normal form: the standard monomials, a basis of
 the quotient, are known in closed form and listed by degree in `basis`,
 and a monomial's normal form comes from rewriting leading terms, with no
 elimination.  Every leading coefficient is one and every other
-coefficient is a multinomial, so the rewriting runs in integers.  A
-monomial whose support is not nested is zero, and supports are int
-bitmasks, so that test is one lookup.  The product of two basis
+coefficient is a multinomial, so the rewriting runs in integers.  Inside
+the presentation a monomial is sparse, its (variable, exponent) pairs
+ascending in the variable, so a rewriting step costs the size of its
+support, not the number of variables.  A monomial whose support is not
+nested is zero, and supports are int bitmasks, so that test is one
+lookup.  The product of two basis
 monomials is the normal form of their product; its coefficients, the
 ring's structure constants, are read into a table by pair of basis
 indices on first use, and a pair whose supports do not unite to a
@@ -36,7 +39,8 @@ dot product u . b over the two denominators.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement, product
+from functools import cached_property
+from itertools import accumulate, combinations_with_replacement, groupby, product
 from math import factorial, gcd, lcm
 from operator import add, mul
 
@@ -47,6 +51,8 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 Monomial = tuple[int, ...]
+# (variable, exponent) pairs, ascending in the variable, every exponent positive
+Sparse = tuple[tuple[int, int], ...]
 
 
 class GradedPoly:
@@ -253,51 +259,63 @@ class IdealPresentation:
 
     `basis` lists the standard monomials by degree, lexicographically
     largest first within a degree, and `quotient_ranks[j]` counts those of
-    degree j.  On the empty support the bound of c_0 is n, so c_0^(n-1) is
-    always standard; `ideal_generators` checks that the top rank is one,
-    so it is the last basis monomial and the only one of top degree.
+    degree j.  The presentation keys them sparse (`index`, `_standard`);
+    the dense `basis` is built on first access, and nothing on the
+    spectrum path reads it.  On the empty support the bound of c_0 is n,
+    so c_0^(n-1) is always standard; `ideal_generators` checks that the
+    top rank is one, so it is the last basis monomial and the only one of
+    top degree.
     `monomials[j]`, every degree-j monomial with nested support, is built
     on first access; nothing on the spectrum path reads it.
     """
 
     def __init__(self, building: BuildingSet) -> None:
         self.building = building
-        nv = building.size
         # nested set as a bitmask -> its elements, ascending
         self._nested = {_mask(s): sorted(s) for s in enumerate_nested(building, self.trunc)}
         self._limits: dict[int, tuple[tuple[int, int], ...]] = {}
-        self._expansions: dict[tuple[int, int], tuple[tuple[Monomial, int], ...]] = {}
+        self._expansions: dict[tuple[int, int], tuple[tuple[Sparse, int, int], ...]] = {}
         # monomial with nested support -> its normal form, as (basis index, integer) pairs
-        self._forms: dict[Monomial, tuple[tuple[int, int], ...]] = {}
+        self._forms: dict[Sparse, tuple[tuple[int, int], ...]] = {}
         self._monomials: list[list[Monomial]] | None = None
         self._generators: list[GradedPoly] | None = None
-        # standard monomials: 1 <= m_v < d_v on the support, 0 <= m_0 < d_0
-        self.basis: list[Monomial] = sorted(
+        # standard monomials: 1 <= m_v < d_v on the support, 0 <= m_0 < d_0,
+        # in the order of `basis`: by degree, then the dense exponents descending
+        self._standard: list[Sparse] = sorted(
             (
-                _monomial(nv, zip((v for v, _ in limits), exps))
+                tuple(sorted((v, e) for (v, _), e in zip(limits, exps) if e))
                 for limits in map(self._limits_of, self._nested)
                 for exps in product(*(range(1 if v else 0, d) for v, d in limits))
             ),
-            key=lambda m: (sum(m), [-e for e in m]),
+            key=lambda m: (sum(e for _, e in m), [(v, -e) for v, e in m]),
         )
-        self.index = {m: i for i, m in enumerate(self.basis)}
-        self._masks = [_support(m) for m in self.basis]
-        self._degrees = [sum(m) for m in self.basis]
+        self.index = {m: i for i, m in enumerate(self._standard)}
+        self._masks = [_mask(v for v, _ in m) for m in self._standard]
+        self._degrees = [sum(e for _, e in m) for m in self._standard]
         self.quotient_ranks = [self._degrees.count(j) for j in range(self.trunc + 1)]
         # _starts[j]: index of the first basis monomial of degree j; _starts[trunc + 1] is the rank
         self._starts = list(accumulate(self.quotient_ranks, initial=0))
+        rank = len(self._standard)
         # (i, j) -> structure constants of basis[i] * basis[j], as (index, integer) pairs
         self._table: list[list[tuple[tuple[int, int], ...] | None]] = [
-            [None] * len(self.basis) for _ in self.basis
+            [None] * rank for _ in range(rank)
         ]
         self._pairing: list[list[list[int]] | None] = [None] * (self.trunc + 1)
         # variable -> its normal form, (index, integer) pairs; `linear` raises KeyError on others
-        units = [_monomial(nv, [(v, 1)]) for v in range(nv)]
-        self._images = dict(enumerate(_integral(self._form(u), u) for u in units))
+        self._images: dict[int, tuple[tuple[int, int], ...]] = {}
+        for v in range(building.size):
+            unit = ((v, 1),)
+            self._images[v] = _integral(self._form(unit, _mask((v,))), unit)
 
     @property
     def trunc(self) -> int:
         return self.building.n - 1
+
+    @cached_property
+    def basis(self) -> list[Monomial]:
+        """The standard monomials as dense exponent tuples, built on first access."""
+        nv = self.building.size
+        return [_monomial(nv, m) for m in self._standard]
 
     @property
     def generators(self) -> list[GradedPoly]:
@@ -389,41 +407,40 @@ class IdealPresentation:
             )
         return got
 
-    def _expansion(self, w: int, d: int) -> tuple[tuple[Monomial, int], ...]:
+    def _expansion(self, w: int, d: int) -> tuple[tuple[Sparse, int, int], ...]:
         """The terms of (sum of x_v over v <= w)^d other than x_w^d, as
-        (exponents, multinomial coefficient); terms with non-nested support
-        are left out, since every multiple of them is zero."""
+        (sparse exponents, support bitmask, multinomial coefficient); terms
+        with non-nested support are left out, since every multiple of them
+        is zero."""
         got = self._expansions.get((w, d))
         if got is None:
-            bs, nv = self.building, self.building.size
             terms = []
-            for combo in combinations_with_replacement(sorted({w, *bs.below[w]}), d):
-                delta = [0] * nv
-                for v in combo:
-                    delta[v] += 1
-                if delta[w] < d and _mask(combo) in self._nested:
+            for combo in combinations_with_replacement(sorted({w, *self.building.below[w]}), d):
+                mask = _mask(combo)
+                if combo.count(w) < d and mask in self._nested:
+                    delta = tuple((v, len(list(run))) for v, run in groupby(combo))
                     coeff = factorial(d)
-                    for e in delta:
+                    for _, e in delta:
                         coeff //= factorial(e)
-                    terms.append((tuple(delta), coeff))
+                    terms.append((delta, mask, coeff))
             got = self._expansions[(w, d)] = tuple(terms)
         return got
 
-    def _form(self, mono: Monomial) -> tuple[tuple[int, int], ...]:
-        """Normal form of one monomial; zero if the support is not nested.
+    def _form(self, mono: Sparse, support: int) -> tuple[tuple[int, int], ...]:
+        """Normal form of one sparse monomial with the given support bitmask;
+        zero if the support is not nested.
 
         Memoized for nested support only, so the memo holds no zeros of
         that kind.
         """
+        if support not in self._nested:
+            return ()
         got = self._forms.get(mono)
         if got is None:
-            support = _support(mono)
-            if support not in self._nested:
-                return ()
             got = self._forms[mono] = self._rewrite(mono, support)
         return got
 
-    def _rewrite(self, mono: Monomial, support: int) -> tuple[tuple[int, int], ...]:
+    def _rewrite(self, mono: Sparse, support: int) -> tuple[tuple[int, int], ...]:
         """Normal form of a monomial with nested support: itself if standard.
 
         Otherwise W is the largest-dimension element whose exponent reaches
@@ -432,17 +449,25 @@ class IdealPresentation:
         other terms, each rewritten in turn.  Each of those moves a factor
         of x_W to an element of smaller dimension, so the rewriting ends.
         """
-        over = next(((w, d) for w, d in self._limits_of(support) if mono[w] >= d), None)
+        exps = dict(mono)
+        over = next(((w, d) for w, d in self._limits_of(support) if exps.get(w, 0) >= d), None)
         if over is None:
             return ((self.index[mono], 1),)
         w, d = over
         # d = 0 is the relation x_H = 0, possible only below the formal element
         if d < 0 or (d == 0 and w != 0):
             raise StructureError(f"no relation rewrites the non-standard monomial {mono!r}")
-        rest = mono[:w] + (mono[w] - d,) + mono[w + 1 :]
+        # rest = mono / x_W^d, with support `left`; a term whose support
+        # with it is not nested gives zero, and its monomial is never formed
+        exps[w] = exps.get(w, 0) - d
+        rest = tuple((v, e) for v, e in exps.items() if e)
+        left = support if exps[w] else support & ~(1 << w)
         out: dict[int, int] = {}
-        for delta, c in self._expansion(w, d):
-            for i, v in self._form(tuple(map(add, rest, delta))):
+        for delta, mask, c in self._expansion(w, d):
+            union = left | mask
+            if union not in self._nested:
+                continue
+            for i, v in self._form(_times(rest, delta), union):
                 nv = out.get(i, 0) - c * v
                 if nv:
                     out[i] = nv
@@ -454,9 +479,10 @@ class IdealPresentation:
         """Structure constants of basis[i] * basis[j], filled in the table for both orders."""
         got = self._table[i][j]
         if got is None:
-            if self._masks[i] | self._masks[j] in self._nested:
-                mono = tuple(map(add, self.basis[i], self.basis[j]))
-                got = _integral(self._form(mono), mono)
+            support = self._masks[i] | self._masks[j]
+            if support in self._nested:
+                mono = _times(self._standard[i], self._standard[j])
+                got = _integral(self._form(mono, support), mono)
             else:
                 got = ()
             self._table[i][j] = self._table[j][i] = got
@@ -466,11 +492,11 @@ class IdealPresentation:
 
     def constant(self, value) -> "QuotientElement":
         c = Fraction(value)
-        return QuotientElement(self, [c.numerator] + [0] * (len(self.basis) - 1), c.denominator)
+        return QuotientElement(self, [c.numerator] + [0] * (len(self._standard) - 1), c.denominator)
 
     def linear(self, coeffs) -> "QuotientElement":
         """The class of the sum of a * c_v over the items (v, a) of `coeffs`, a in the integers."""
-        num = [0] * len(self.basis)
+        num = [0] * len(self._standard)
         for v, a in coeffs.items():
             for i, c in self._images[v]:
                 num[i] += a * c
@@ -482,10 +508,11 @@ class IdealPresentation:
             raise ValueError("polynomial does not match the ideal's ring")
         acc: dict[int, Fraction] = {}
         for mono, c in poly.terms.items():
-            for i, v in self._form(mono):
-                acc[i] = acc.get(i, _ZERO) + c * v
+            sparse = tuple((v, e) for v, e in enumerate(mono) if e)
+            for i, x in self._form(sparse, _mask(v for v, _ in sparse)):
+                acc[i] = acc.get(i, _ZERO) + c * x
         den = lcm(*(a.denominator for a in acc.values()))
-        num = [0] * len(self.basis)
+        num = [0] * len(self._standard)
         for i, a in acc.items():
             num[i] = a.numerator * (den // a.denominator)
         return QuotientElement(self, num, den)
@@ -636,9 +663,12 @@ def _mask(elems) -> int:
     return out & ~1
 
 
-def _support(mono: Monomial) -> int:
-    """Bitmask of the variables of positive exponent, the formal element 0 aside."""
-    return _mask(i for i, e in enumerate(mono) if e)
+def _times(a: Sparse, b: Sparse) -> Sparse:
+    """The product of two sparse monomials."""
+    out = dict(a)
+    for v, e in b:
+        out[v] = out.get(v, 0) + e
+    return tuple(sorted(out.items()))
 
 
 def _nested_monomials(nested, nvars: int, degree: int) -> list[Monomial]:

@@ -181,7 +181,9 @@ class SpectrumSetup:
         key = self.twist_key(k)
         got = self._twists.get(key)
         if got is None:
-            got = self._twists[key] = self.ideal.linear(dict(enumerate(key))).exp()
+            # the hyperplane elements' coefficients are zero
+            coeffs = {0: key[0]} | {v: key[v] for v, _, _ in self._twisted}
+            got = self._twists[key] = self.ideal.linear(coeffs).exp()
         return got
 
 

@@ -137,7 +137,7 @@ def test_closure_property():
     for a in lat.flats:
         for b in lat.flats:
             closure, _ = lat.closure_of(set(a.closure) | set(b.closure))
-            assert lat.flat_by_closure(closure) is not None
+            assert lat.flat_index(closure) is not None
 
 
 def test_rebuild_from_rank_one_flats():

@@ -252,7 +252,8 @@ def test_non_integral_structure_constant_raises_structure_error():
     # a fresh ideal, whose table is still empty; halve the memoized form of x^2
     ideal = ideal_generators(prepare(resolve_fixture("example-b1")).building)
     x = ideal.basis[1]
-    ideal._forms[tuple(2 * e for e in x)] = ((len(ideal.basis) - 1, Fraction(1, 2)),)
+    square = tuple((v, 2 * e) for v, e in enumerate(x) if e)
+    ideal._forms[square] = ((len(ideal.basis) - 1, Fraction(1, 2)),)
     with pytest.raises(StructureError):
         monomial_element(ideal, x) * monomial_element(ideal, x)
 
@@ -404,6 +405,55 @@ def test_braid_a4_quotient_ranks():
     assert ideal_generators(maximal_building(lattice)).quotient_ranks == [1, 41, 41, 1]
     irreducible = building_from_closures(lattice, closures)
     assert ideal_generators(irreducible).quotient_ranks == [1, 16, 16, 1]
+
+
+# quotient ranks of the fixtures with the maximal building set
+FIXTURE_RANKS = {
+    "example-a": [1, 1],
+    "example-a-weighted": [1, 1],
+    "example-b1": [1, 7, 1],
+    "example-b2": [1, 7, 1],
+    "generic3d:4": [1, 7, 1],
+    "generic3d:5": [1, 11, 1],
+    "generic3d:6": [1, 16, 1],
+}
+
+
+def fresh_ideals():
+    """(name, ideal, quotient ranks) for the fixtures and braid A4 with both
+    building sets, each ideal built here so that no other test has read it."""
+    cases = [
+        (name, prepare(resolve_fixture(name)).ideal, ranks)
+        for name, ranks in FIXTURE_RANKS.items()
+    ]
+    maximal, minimal = braid_a4_ideals()
+    return cases + [
+        ("braid A4", maximal, [1, 41, 41, 1]),
+        ("braid A4 minimal", minimal, [1, 16, 16, 1]),
+    ]
+
+
+def test_dense_basis_is_built_on_first_access_in_the_dense_order():
+    for name, ideal, ranks in fresh_ideals():
+        assert "basis" not in vars(ideal), name
+        basis = ideal.basis
+        assert all(len(m) == ideal.building.size for m in basis), name
+        assert basis == sorted(set(basis), key=lambda m: (sum(m), [-e for e in m])), name
+        # the sparse keys name the same monomials at the same indices
+        sparse = [tuple((v, e) for v, e in enumerate(m) if e) for m in basis]
+        assert [ideal.index[m] for m in sparse] == list(range(len(basis))), name
+        by_degree = [sum(sum(m) == j for m in basis) for j in range(ideal.trunc + 1)]
+        assert ideal.quotient_ranks == by_degree == ranks, name
+
+
+def test_the_spectrum_path_leaves_the_dense_basis_unbuilt():
+    arr, closures = braid(4)
+    inputs = [(name, resolve_fixture(name), None) for name in FIXTURE_RANKS]
+    inputs += [("braid A4", arr, None), ("braid A4 minimal", arr, closures)]
+    for name, arrangement, building in inputs:
+        setup = prepare(arrangement, building)
+        spectrum_from_setup(setup)
+        assert "basis" not in vars(setup.ideal), name
 
 
 def test_irreducible_braid_ranks_are_keel_betti_numbers():

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -414,6 +414,34 @@ def budur_saito(d, point_mults):
         if i < d:
             out[a + 2] = c2(d - i - 1) - sum(c2(m - c) for m, c in cs)
     return {a: v for a, v in out.items() if v}
+
+
+def generic_central(n, d):
+    """Spectrum of d > n reduced hyperplanes in C^n, any n of them independent:
+    n_(i/d+p) = C(i-1, n-1-p) C(d-i-1, p) for 1 <= i <= d-1 and 0 <= p <= n-1,
+    and n_(p+1) = (-1)^p C(d-1, n-1-p) for p <= n-2; the exponent n is left out.
+    For n = 2 it is the plane-curve formula, for n = 3 Budur-Saito with no
+    points of multiplicity 3 or more."""
+    out = {}
+    for i in range(1, d):
+        for p in range(n):
+            out[Fraction(i, d) + p] = comb(i - 1, n - 1 - p) * comb(d - i - 1, p)
+    for p in range(n - 1):
+        out[Fraction(p + 1)] = (-1) ** p * comb(d - 1, n - 1 - p)
+    return {a: m for a, m in out.items() if m}
+
+
+@pytest.mark.parametrize("n, d", [(3, 5), (4, 5), (4, 6), (4, 7), (5, 6)])
+def test_generic_central_arrangements_match_the_closed_form(n, d):
+    # normals on the moment curve (1, t, ..., t^(n-1)): any n are a Vandermonde
+    # basis; the irreducible flats are the hyperplanes and the origin
+    arr = Arrangement.from_normals(n, [tuple(t**j for j in range(n)) for t in range(1, d + 1)])
+    assert budur_saito(d, []) == generic_central(3, d)
+    minimal = [[i] for i in range(d)] + [list(range(d))]
+    for building in (None, minimal):
+        got = {pt.alpha: pt.mult for pt in spectrum(arr, building).points}
+        assert got == generic_central(n, d), building
+    assert generic_central(2, d) == classical_plane_curve(d)
 
 
 # one normal per direction: primitive, first nonzero entry positive
