@@ -11,8 +11,10 @@ from __future__ import annotations
 import dataclasses
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
-from math import comb, gcd
+from math import comb, factorial, gcd
+from operator import mul
 
 import pytest
 
@@ -461,11 +463,67 @@ def test_irreducible_braid_ranks_are_keel_betti_numbers():
     # space of n + 2 marked points; its nested sets are not chains
     assert keel_betti(6) == [1, 16, 16, 1]
     assert keel_betti(7) == [1, 42, 127, 42, 1]
-    for n in (3, 4, 5):
+    assert keel_betti(8) == [1, 99, 715, 715, 99, 1]
+    for n in (3, 4, 5, 6):
         arr, closures = braid(n)
         irreducible = building_from_closures(build_lattice(arr), closures)
         assert not irreducible.is_maximal
         assert ideal_generators(irreducible).quotient_ranks == keel_betti(n + 2)
+
+
+def test_boundary_points_are_the_point_class():
+    # n - 1 nested divisors meet transversally in one point, and c_0^(n-1) is
+    # (-1)^(n-1) times the point class; on braid A_n's irreducible flats the
+    # nested sets of n - 1 elements are the trivalent trees with n + 2
+    # leaves, (2n - 1)!! of them
+    for n, count in ((3, 15), (4, 105), (5, 945)):
+        arr, closures = braid(n)
+        bs = building_from_closures(build_lattice(arr), closures)
+        ideal = ideal_generators(bs)
+        point = reduce(mul, [ideal.linear({0: 1})] * (n - 1)) * (-1) ** (n - 1)
+        assert point.pair(ideal.constant(1)) == 1
+        full = [s for s in enumerate_nested(bs, n - 1) if len(s) == n - 1]
+        assert len(full) == count
+        for s in full:
+            assert reduce(mul, (ideal.linear({v: 1}) for v in s)) == point, sorted(s)
+
+
+def riemann_roch_setups(setups):
+    """(name, setup) for the fixtures, lines:6, braid A3 and A4 with both
+    building sets, and 7 moment-curve hyperplanes in C^4."""
+    cases = list(setups.items()) + [("lines:6", prepare(resolve_fixture("lines:6")))]
+    for n in (3, 4):
+        arr, closures = braid(n)
+        cases += [(f"braid A{n}", prepare(arr)), (f"braid A{n} minimal", prepare(arr, closures))]
+    moment = Arrangement.from_normals(4, [(1, t, t * t, t**3) for t in range(7)])
+    return cases + [("moment curve 7 in C^4", prepare(moment))]
+
+
+def lambda_powers(ch, n):
+    """lambda^0 .. lambda^(n-1) of a Chern character, by the Newton identity
+    lambda^p = (1/p) * sum_j (-1)^(j-1) * psi^j(ch) * lambda^(p-j)."""
+    zero = ch * 0
+    out = [zero + 1]
+    for p in range(1, n):
+        terms = (ch.adams(j) * out[p - j] * (-1) ** (j - 1) for j in range(1, p + 1))
+        out.append(sum(terms, zero) * Fraction(1, p))
+    return out
+
+
+def test_riemann_roch_on_the_resolution(setups):
+    # the resolution Y is smooth, projective and rational with h^(p,q) = 0 for
+    # p != q: chi(O_Y) = 1, chi_top(Y) is the sum of the quotient ranks, and
+    # chi(Omega^p) = (-1)^p * quotient_ranks[p]
+    for name, setup in riemann_roch_setups(setups):
+        ideal, cl, n = setup.ideal, setup.quotient, setup.n
+        ranks, one = ideal.quotient_ranks, ideal.constant(1)
+        assert one.pair(cl.todd) == 1, name
+        assert one.pair(cl.total.graded_parts()[n - 1]) == sum(ranks), name
+        # Omega^1 has the tangent roots negated
+        parts = (x * Fraction(1, factorial(k)) for k, x in enumerate(cl.tangent) if k)
+        ch_tangent = sum(parts, one * (n - 1))
+        for p, form in enumerate(lambda_powers(ch_tangent.adams(-1), n)):
+            assert form.pair(cl.todd) == (-1) ** p * ranks[p], (name, p)
 
 
 def random_element(rng, ideal, den):
