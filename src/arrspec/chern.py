@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cache, cached_property, partial, reduce
 from itertools import combinations
 from math import factorial
 from operator import mul
@@ -158,24 +158,16 @@ class CharClasses:
     dual_ch: tuple[Element, ...]
     tangent: tuple[Element, ...] = field(repr=False)
     dual_log: tuple[Element, ...] = field(repr=False)
-    _total: Element | None = field(default=None, init=False, repr=False, compare=False)
-    _log_chern: Element | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def total(self) -> Element:
         """Total Chern class of the tangent bundle."""
-        if self._total is None:
-            trunc = self.building.n - 1
-            self._total = _root_sum(_log_one_plus_x(trunc), self.tangent).exp()
-        return self._total
+        return _root_sum(_log_one_plus_x(self.building.n - 1), self.tangent).exp()
 
-    @property
+    @cached_property
     def log_chern(self) -> Element:
         """Total Chern class of the log one-forms: the dual roots with their signs changed."""
-        if self._log_chern is None:
-            trunc = self.building.n - 1
-            self._log_chern = _root_sum(_log_one_plus_x(trunc), self.dual_log).exp().adams(-1)
-        return self._log_chern
+        return _root_sum(_log_one_plus_x(self.building.n - 1), self.dual_log).exp().adams(-1)
 
 
 def char_classes(bs: BuildingSet, ideal: IdealPresentation | None = None) -> CharClasses:

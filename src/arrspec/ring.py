@@ -29,11 +29,12 @@ table (`IdealPresentation._product`, on the numerator lists), so a
 product costs one multiply-add per structure constant, in integers; the
 exponential sums its powers over one denominator and reduces once.  The
 top-degree quotient has rank one, spanned by c_0^(n-1), which is
-(-1)^(n-1) times the class of a point; the pairing matrices M_j give the
-point-class value of a degree-j basis monomial times a degree-(n-1-j)
-one.  An element a pairs with b through its covector u = a . M, an
-integer row over the whole basis (`IdealPresentation.covector`), as the
-dot product u . b over the two denominators.
+(-1)^(n-1) times the class of a point, so the table entry of two basis
+monomials of complementary degree is zero or one multiple of it.  An
+element a pairs with b through its covector u, an integer row over the
+whole basis whose entry b is the point-class value of a times basis[b],
+summed from those table entries (`IdealPresentation.covector`); the
+pairing is the dot product u . b over the two denominators.
 """
 
 from __future__ import annotations
@@ -277,8 +278,6 @@ class IdealPresentation:
         self._expansions: dict[tuple[int, int], tuple[tuple[Sparse, int, int], ...]] = {}
         # monomial with nested support -> its normal form, as (basis index, integer) pairs
         self._forms: dict[Sparse, tuple[tuple[int, int], ...]] = {}
-        self._monomials: list[list[Monomial]] | None = None
-        self._generators: list[GradedPoly] | None = None
         # standard monomials: 1 <= m_v < d_v on the support, 0 <= m_0 < d_0,
         # in the order of `basis`: by degree, then the dense exponents descending
         self._standard: list[Sparse] = sorted(
@@ -300,7 +299,6 @@ class IdealPresentation:
         self._table: list[list[tuple[tuple[int, int], ...] | None]] = [
             [None] * rank for _ in range(rank)
         ]
-        self._pairing: list[list[list[int]] | None] = [None] * (self.trunc + 1)
         # variable -> its normal form, (index, integer) pairs; `linear` raises KeyError on others
         self._images: dict[int, tuple[tuple[int, int], ...]] = {}
         for v in range(building.size):
@@ -317,57 +315,39 @@ class IdealPresentation:
         nv = self.building.size
         return [_monomial(nv, m) for m in self._standard]
 
-    @property
+    @cached_property
     def generators(self) -> list[GradedPoly]:
         """The nested-set generators, built on first access; the normal form does not read them."""
-        if self._generators is None:
-            self._generators = nested_set_generators(self.building)
-        return self._generators
+        return nested_set_generators(self.building)
 
-    @property
+    @cached_property
     def monomials(self) -> list[list[Monomial]]:
         """Degree j -> the monomials with nested support, built on first access."""
-        if self._monomials is None:
-            nv = self.building.size
-            self._monomials = [
-                _nested_monomials(self._nested.values(), nv, j) for j in range(self.trunc + 1)
-            ]
-        return self._monomials
-
-    def pairing_matrix(self, j: int) -> list[list[int]]:
-        """The Poincare pairing matrix M_j, built on first use.
-
-        M_j[a][b] is the point-class value of the a-th basis monomial of
-        degree j times the b-th of degree n-1-j.  Duality makes every M_j
-        square and invertible, with M_(n-1-j) its transpose.
-        """
-        got = self._pairing[j]
-        if got is None:
-            top, starts = self.trunc, self._starts
-            sign = (-1) ** top
-            dual = range(starts[top - j], starts[top - j + 1])
-            # a top-degree product is zero or one multiple of c_0^(n-1)
-            got = self._pairing[j] = [
-                [sign * sum(c for _, c in self._constants(a, b)) for b in dual]
-                for a in range(starts[j], starts[j + 1])
-            ]
-        return got
+        nv = self.building.size
+        return [_nested_monomials(self._nested.values(), nv, j) for j in range(self.trunc + 1)]
 
     def covector(self, x: "QuotientElement") -> list[int]:
-        """The integer row u = x.num . M over the whole basis, so that x pairs
-        with y as u . y.num / (x.den * y.den); x.den is not applied.
+        """The integer row u over the whole basis with u[b] the point-class
+        value of x.num times basis[b], so that x pairs with y as
+        u . y.num / (x.den * y.den); x.den is not applied.
 
-        u on degree n-1-j is x's degree-j part times M_j, read as the rows
-        of its transpose M_(n-1-j); a degree where x is zero costs nothing.
+        Each nonzero x.num[i] adds its products with the basis monomials of
+        complementary degree, read from the structure-constant table.
         """
-        starts, top, num = self._starts, self.trunc, x.num
-        u = [0] * len(num)
-        for j in range(top + 1):
-            xs = num[starts[j] : starts[j + 1]]
-            if any(xs):
-                u[starts[top - j] : starts[top - j + 1]] = [
-                    sum(map(mul, row, xs)) for row in self.pairing_matrix(top - j)
-                ]
+        table, degrees, starts, top = self._table, self._degrees, self._starts, self.trunc
+        sign = (-1) ** top
+        u = [0] * len(x.num)
+        for i, xi in enumerate(x.num):
+            if not xi:
+                continue
+            row, xi, dual = table[i], sign * xi, top - degrees[i]
+            for b in range(starts[dual], starts[dual + 1]):
+                entry = row[b]
+                if entry is None:
+                    entry = self._constants(i, b)
+                # a top-degree product is zero or one multiple of c_0^(n-1)
+                for _, c in entry:
+                    u[b] += xi * c
         return u
 
     def _product(self, a: list[int], b: list[int]) -> list[int]:

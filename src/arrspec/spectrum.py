@@ -12,15 +12,16 @@ spectrum; every candidate is an exact integer, which is asserted.
 
 Every class is a `QuotientElement`, in the quotient ring over its
 standard-monomial basis.  The product ch * Todd is computed once per p
-and kept only as its pairing covector u = a . M, an integer row over the
-whole basis with the denominator alongside; the exponential of the
-divisor sum of shifts is computed once per distinct vector of shifts, in
-integers.  Both are cached on the `SpectrumSetup`, and the divisor sum
-is an integer combination of the variables' degree-one normal forms.
-Each cell is then one integer dot product u . t over the two
-denominators, without forming the product of the two classes.  The
-shifts are computed in integers, once per k, and only for element 0 and
-the elements of codimension >= 2: a hyperplane element never shifts.
+and kept only as its pairing covector u, an integer row over the whole
+basis read from the ring's structure-constant table, with the
+denominator alongside; the exponential of the divisor sum of shifts is
+computed once per distinct vector of shifts, in integers.  Both are
+cached on the `SpectrumSetup`, and the divisor sum is an integer
+combination of the variables' degree-one normal forms.  Each cell is
+then one integer dot product u . t over the two denominators, without
+forming the product of the two classes.  The shifts are computed in
+integers, once per k, and only for element 0 and the elements of
+codimension >= 2: a hyperplane element never shifts.
 """
 
 from __future__ import annotations
@@ -105,7 +106,6 @@ class SpectrumSetup:
     building: BuildingSet
     ideal: IdealPresentation
     quotient: CharClasses
-    _classes: CharClasses | None = field(default=None, init=False, repr=False, compare=False)
     # per-cell factors, filled on first use: q -> (covector, denominator)
     _covectors: dict[int, tuple[list[int], int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -122,12 +122,10 @@ class SpectrumSetup:
     def degree(self) -> int:
         return self.arrangement.degree
 
-    @property
+    @cached_property
     def classes(self) -> CharClasses:
         """The characteristic classes as free-ring polynomials."""
-        if self._classes is None:
-            self._classes = char_classes(self.building)
-        return self._classes
+        return char_classes(self.building)
 
     def ch_todd(self, q: int) -> QuotientElement:
         """ch(dual q-th exterior power) * Todd in the quotient."""
