@@ -3,9 +3,10 @@
 Each golden file holds one command's exit code on its first line
 (`exit N`) and then its stdout.  The built-in fixtures stop at n = 3; the
 JSON input documents in the same directory (braid A4 and a weighted
-rank-4 arrangement, both in C^4) pin degree-3 rings, and a third
+rank-4 arrangement, both in C^4) pin degree-3 rings, a third
 (example-b1's planes with the building set of its irreducible flats) pins
-a custom building set.  To record new
+a custom building set, and a fourth (braid A3 in standard form, the six
+forms x_i - x_j in C^4) pins a non-essential input.  To record new
 output after an intended change, run
 `PYTHONPATH=src python tests/test_cli_golden.py` and review the diff.
 """
@@ -31,7 +32,7 @@ FIXTURES = [
     "generic3d:5",
 ]
 # input documents, by file stem in GOLDEN
-DOCUMENTS = ["braid-a4", "weighted-c4", "custom-b1"]
+DOCUMENTS = ["braid-a4", "weighted-c4", "custom-b1", "braid-a3-c4"]
 # case name in the golden file name -> command line after the source
 COMMANDS = {
     "compute": ["compute", "--json"],
