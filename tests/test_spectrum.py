@@ -11,10 +11,17 @@ from hypothesis import strategies as st
 from arrspec import (
     Arrangement,
     GradedPoly,
+    SpectrumSetup,
     StructureError,
+    ValidationError,
     a_coeff,
     beta,
+    build_lattice,
+    building_from_closures,
+    char_classes,
     euler_projective_complement,
+    ideal_generators,
+    maximal_building,
     multiplicity,
     plane_curve_oracle,
     prepare,
@@ -216,7 +223,96 @@ def test_lift_identity(name):
     lifted = Arrangement.from_normals(
         arr.n + 1, [h.normal + (0,) for h in arr.hyperplanes], [h.mult for h in arr.hyperplanes]
     )
+    assert spectrum(lifted) == spectrum_from_setup(direct_setup(lifted))
     assert pairs(spectrum(lifted)) == [(a + 1, -m) for a, m in pairs(spectrum(arr))]
+
+
+def direct_setup(arr, closures=None):
+    """The setup on the input's own lattice, essential or not: its ring has
+    dimension n - 1 and every cell is paired there.  The oracle for
+    `prepare`, which computes a non-essential input on its essentialization."""
+    lattice = build_lattice(arr)
+    if closures is None:
+        bs = maximal_building(lattice)
+    else:
+        bs = building_from_closures(lattice, closures)
+    ideal = ideal_generators(bs)
+    return SpectrumSetup(arr, lattice, bs, ideal, char_classes(bs, ideal))
+
+
+def irreducible_closures(lattice):
+    """Closures of the irreducible flats, the minimal building set: a flat is
+    reducible when two smaller flats partition its hyperplanes and their
+    codimensions add up to its own."""
+    flats, masks = lattice.flats, lattice.masks
+    out = []
+    for i in range(1, len(flats)):
+        m, c = masks[i], flats[i].codim
+        if not any(
+            masks[a] | masks[b] == m and not masks[a] & masks[b]
+            and flats[a].codim + flats[b].codim == c
+            for a in range(1, i)
+            for b in range(a + 1, i)
+        ):
+            out.append(list(flats[i].closure))
+    return out
+
+
+@st.composite
+def non_essential_arrangements(draw):
+    """Rank r in C^n, 2 <= r < n <= 5: normals drawn in C^r, extended by
+    integer combinations of their coordinates, with the coordinates shuffled
+    so that the pivots are not always the first r."""
+    n = draw(st.integers(3, 5))
+    r = draw(st.integers(2, n - 1))
+    pool = [v for v in product((-1, 0, 1), repeat=r) if next((c for c in v if c), 0) > 0]
+    core = draw(st.lists(st.sampled_from(pool), min_size=r, max_size=r + 2, unique=True))
+    assume(build_lattice(Arrangement.from_normals(r, core)).is_essential)
+    extend = draw(st.lists(st.lists(st.integers(-1, 1), min_size=r, max_size=r),
+                           min_size=n - r, max_size=n - r))
+    order = draw(st.permutations(range(n)))
+    normals = []
+    for v in core:
+        full = v + tuple(sum(a * b for a, b in zip(row, v)) for row in extend)
+        normals.append(tuple(full[j] for j in order))
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(core), max_size=len(core)))
+    return Arrangement.from_normals(n, normals, mults)
+
+
+@settings(max_examples=50, deadline=None)
+@given(non_essential_arrangements(), st.sampled_from(["maximal", "custom"]), st.randoms())
+def test_non_essential_cells_equal_the_direct_route(arr, kind, rng):
+    lattice = build_lattice(arr)
+    lift = arr.n - lattice.flats[-1].codim
+    assert lift > 0
+    closures = None
+    if kind == "custom":
+        # the irreducible flats plus a random choice of the others; a choice
+        # that is not a building set is rejected alike by both routes
+        closures = irreducible_closures(lattice)
+        extra = [list(f.closure) for f in lattice.flats[1:] if list(f.closure) not in closures]
+        chosen = closures + [c for c in extra if rng.random() < 0.5]
+        try:
+            building_from_closures(lattice, chosen)
+            closures = chosen
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                prepare(arr, chosen)
+    setup, direct = prepare(arr, closures), direct_setup(arr, closures)
+    # the core's lattice is the input's with every flat's dimension relabelled
+    core = setup.building.lattice
+    rebuilt = build_lattice(core.arrangement)
+    assert core.flats == rebuilt.flats and core.mobius == rebuilt.mobius
+    assert core.masks == lattice.masks and core.mobius == lattice.mobius
+    assert [(f.closure, f.codim) for f in core.flats] == [(f.closure, f.codim) for f in lattice.flats]
+    n, d = arr.n, arr.degree
+    for k in range(1, d + 1):
+        for p in range(n - (k == d)):
+            got = multiplicity(setup, k, p)
+            assert got == multiplicity(direct, k, p), (k, p)
+            if p < lift:
+                assert got == 0, (k, p)
+    assert spectrum_from_setup(setup) == spectrum_from_setup(direct)
 
 
 def classical_plane_curve(d: int) -> dict[Fraction, int]:
