@@ -19,12 +19,15 @@ every cover already found from it need a containment test, since two
 covers of a flat share only the flat's own hyperplanes.  A cover of rank
 n is the origin, which needs no elimination.  Once the
 lattice is built, every closure query is `IntersectionLattice.join`, a
-cached scan over the flats' bitmasks: no elimination runs after
-`build_lattice`.
+cached scan over the bitmasks of the flats on the query's lowest
+hyperplane: no elimination runs after `build_lattice`.
+`essentialization` gives the same lattice for the arrangement's
+essentialization in C^r, r its rank, by relabelling each flat's dimension.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -177,14 +180,20 @@ class IntersectionLattice:
     down to `flats[i]`.
     """
 
-    __slots__ = ("arrangement", "flats", "masks", "mobius", "_index", "_joins")
+    __slots__ = ("arrangement", "flats", "masks", "mobius", "_index", "_holding", "_joins")
 
     def __init__(self, arrangement: Arrangement, flats) -> None:
         self.arrangement = arrangement
         self.flats: tuple[Flat, ...] = tuple(flats)
         self._index = {f.closure: i for i, f in enumerate(self.flats)}
         self.masks: tuple[int, ...] = tuple(sum(1 << i for i in f.closure) for f in self.flats)
-        self._joins: dict[int, int] = {}
+        # _holding[h]: the indices of the flats on hyperplane h, ascending
+        holding: list[list[int]] = [[] for _ in range(arrangement.size)]
+        for i, f in enumerate(self.flats):
+            for h in f.closure:
+                holding[h].append(i)
+        self._holding = tuple(map(tuple, holding))
+        self._joins: dict[int, int] = {0: 0}
         # mu(V) = -(sum of mu over the flats strictly containing V), all of
         # which have smaller codimension and so come earlier
         mobius = [1]
@@ -207,11 +216,15 @@ class IntersectionLattice:
         """Index of the intersection of the hyperplanes in `mask`, a bitmask.
 
         Flats are sorted by ascending codimension, so it is the first flat
-        whose mask holds `mask`; `join(0)` is the ambient space.
+        whose mask holds `mask`, and only the flats on the mask's lowest
+        hyperplane can; `join(0)` is the ambient space.
         """
         got = self._joins.get(mask)
         if got is None:
-            got = next((i for i, m in enumerate(self.masks) if not mask & ~m), None)
+            low = (mask & -mask).bit_length() - 1
+            masks = self.masks
+            candidates = self._holding[low] if low < len(self._holding) else ()
+            got = next((i for i in candidates if not mask & ~masks[i]), None)
             if got is None:
                 raise ValueError(f"hyperplane mask {mask:#x} out of range")
             self._joins[mask] = got
@@ -294,6 +307,32 @@ def build_lattice(arrangement: Arrangement) -> IntersectionLattice:
     flats = [Flat(cl, n - r, r) for cl, r in found.items()]
     flats.sort(key=lambda f: (f.codim, f.closure))
     return IntersectionLattice(arrangement, flats)
+
+
+def essentialization(lattice: IntersectionLattice) -> IntersectionLattice:
+    """The lattice of the arrangement's essentialization in C^r, r its rank.
+
+    Each normal keeps only the pivot coordinates of the normals' echelon
+    basis.  That projection is one to one on the normals' span, so the
+    hyperplanes keep their order, multiplicities, closures and
+    codimensions: the flats are the input's with each dimension relabelled
+    to r - codim, and no elimination runs again.  The masks, Mobius values,
+    indexes and join cache depend only on the closures, so the two
+    lattices share them.  Needs r >= 2, since an `Arrangement` lives in C^n
+    with n >= 2.
+    """
+    arrangement = lattice.arrangement
+    basis = EchelonBasis()
+    for h in arrangement.hyperplanes:
+        basis.insert({j: c for j, c in enumerate(h.normal) if c})
+    pivots = sorted(basis.rows)
+    r = len(pivots)
+    core = copy(lattice)
+    core.arrangement = Arrangement(
+        r, [Hyperplane(tuple(h.normal[j] for j in pivots), h.mult) for h in arrangement.hyperplanes]
+    )
+    core.flats = tuple(Flat(f.closure, r - f.codim, f.codim) for f in lattice.flats)
+    return core
 
 
 def euler_projective_complement(lattice: IntersectionLattice) -> int:

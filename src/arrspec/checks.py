@@ -57,10 +57,10 @@ def _check_cross_route(setup: SpectrumSetup) -> CheckResult:
     classes = setup.quotient
     bad = [
         p
-        for p in range(setup.n)
+        for p in range(setup.building.n)
         if classes.dual_ch[p] != ch_dual_exterior_roots(setup.building, p, classes.log_chern)
     ]
-    detail = f"exterior powers 0..{setup.n - 1} via Adams operations vs direct root expansion"
+    detail = f"exterior powers 0..{setup.building.n - 1} via Adams operations vs direct root expansion"
     if bad:
         detail += "; mismatch at p=" + ",".join(map(str, bad))
     return CheckResult("chern character cross-route", not bad, detail)

@@ -10,6 +10,12 @@ per building-set element.  Each candidate exponent alpha = k/d + p with
 evaluated against the class of a point.  Nonzero multiplicities form the
 spectrum; every candidate is an exact integer, which is asserted.
 
+The spectrum depends only on the lattice and the multiplicities, so an
+input of rank 2 <= r < n is computed on its essentialization in C^r,
+which has the same lattice and a ring of dimension r - 1 instead of
+n - 1.  With lift = n - r, the input's cell at p is (-1)^lift times the
+core's cell at p - lift, and every cell with p < lift is zero.
+
 Every class is a `QuotientElement`, in the quotient ring over its
 standard-monomial basis.  The product ch * Todd is computed once per p
 and kept only as its pairing covector u, an integer row over the whole
@@ -37,6 +43,7 @@ from .arrangement import (
     IntersectionLattice,
     StructureError,
     build_lattice,
+    essentialization,
 )
 from .chern import CharClasses, char_classes
 from .nested import BuildingSet, building_from_closures, maximal_building
@@ -97,8 +104,11 @@ def r_alpha(classes: CharClasses, eig: EigenData, p: int) -> GradedPoly:
 class SpectrumSetup:
     """Everything derived from the arrangement that the formula consumes.
 
-    The spectrum reads only the `quotient` classes; the free-ring
-    `classes` are computed on first access.
+    `arrangement` and `lattice` are the input's.  `building`, `ideal` and
+    `quotient` may belong to its essentialization in C^r, r < n, whose
+    ring is smaller; each cell is then lifted by `lift` = n - r.  The
+    spectrum reads only the `quotient` classes; the free-ring `classes`
+    are computed on first access.
     """
 
     arrangement: Arrangement
@@ -117,6 +127,11 @@ class SpectrumSetup:
     @property
     def n(self) -> int:
         return self.arrangement.n
+
+    @property
+    def lift(self) -> int:
+        """The input's dimension minus the ring's: 0 unless computed on the essentialization."""
+        return self.arrangement.n - self.building.n
 
     @property
     def degree(self) -> int:
@@ -193,30 +208,46 @@ def choose_building(lattice: IntersectionLattice, building_closures) -> Building
 
 
 def prepare(arrangement: Arrangement, building_closures=None) -> SpectrumSetup:
-    bs = choose_building(build_lattice(arrangement), building_closures)
+    """The setup of the arrangement's spectrum, with the maximal building set
+    or the one the closure sets list.
+
+    An input of rank 2 <= r < n is computed on its essentialization, which
+    has the same lattice in C^r.  A single hyperplane (r = 1) keeps its own
+    lattice, because an arrangement needs n >= 2.
+    """
+    lattice = build_lattice(arrangement)
+    core = lattice
+    if 2 <= lattice.flats[-1].codim < arrangement.n:
+        core = essentialization(lattice)
+    bs = choose_building(core, building_closures)
     ideal = ideal_generators(bs)
-    return SpectrumSetup(arrangement, bs.lattice, bs, ideal, char_classes(bs, ideal))
+    return SpectrumSetup(arrangement, lattice, bs, ideal, char_classes(bs, ideal))
 
 
 def multiplicity(setup: SpectrumSetup, k: int, p: int) -> int:
     """Spectrum multiplicity of the exponent k/d + p.  Exact integer."""
     n, d = setup.n, setup.degree
+    _check_index("eigenvalue index", k, 1, d)
+    _check_index("integer part", p, 0, n - 1)
     if k == d and p == n - 1:
         raise ValueError("the exponent n is excluded from the spectrum")
-    twist = setup.twist(k)
-    _check_index("integer part", p, 0, n - 1)
-    return _pair_cell(setup, twist, k, p)
+    if p < setup.lift:
+        return 0
+    return _pair_cell(setup, setup.twist(k), k, p)
 
 
 def _pair_cell(setup: SpectrumSetup, twist: QuotientElement, k: int, p: int) -> int:
     """The multiplicity of k/d + p, given the k-th twist; no range checks.
 
     One dot product of the cached covector of ch * Todd with the twist.
+    The ring's degree q = n - 1 - p is the same for the input and its
+    essentialization, where the cell is the core cell at p - lift, signed
+    by (-1)^lift; p >= lift.
     """
     q = setup.n - 1 - p
     u, den = setup.covector(q)
     den *= twist.den
-    total = sum(map(mul, u, twist.num)) * (-1) ** q
+    total = sum(map(mul, u, twist.num)) * (-1) ** (q + setup.lift)
     if total % den:
         raise StructureError(
             f"non-integral multiplicity {Fraction(total, den)} at k={k}, p={p}"
@@ -249,8 +280,9 @@ def spectrum_from_setup(setup: SpectrumSetup) -> SpectrumResult:
     n, d = setup.n, setup.degree
     twists = [setup.twist(k) for k in range(1, d + 1)]
     points = []
-    # by ascending exponent k/d + p; the exponent n (k = d, p = n - 1) is excluded
-    for p in range(n):
+    # by ascending exponent k/d + p; the exponent n (k = d, p = n - 1) is
+    # excluded, and every cell with p < lift is zero
+    for p in range(setup.lift, n):
         for k, twist in enumerate(twists[: d - (p == n - 1)], start=1):
             if m := _pair_cell(setup, twist, k, p):
                 points.append(SpectralPoint(Fraction(k + p * d, d), m, k, p))

@@ -263,3 +263,20 @@ def test_lattice_matches_brute_force_closures(arr, data):
         if a < b and not any(a < c < b for c in sets)
     ]
     assert lat.covers() == covers
+
+
+@settings(max_examples=40, deadline=None)
+@given(ternary_arrangements(), st.data())
+def test_join_is_the_first_flat_holding_the_mask(arr, data):
+    # the brute-force scan over every flat; masks reach two bits past the
+    # hyperplanes, so out-of-range masks are drawn too
+    lat = build_lattice(arr)
+    masks = data.draw(st.lists(st.integers(0, (1 << (arr.size + 2)) - 1), max_size=20))
+    for mask in [0, (1 << arr.size) - 1, *masks]:
+        want = next((i for i, m in enumerate(lat.masks) if not mask & ~m), None)
+        if want is None:
+            with pytest.raises(ValueError, match="out of range"):
+                lat.join(mask)
+        else:
+            assert lat.join(mask) == want
+    assert lat.join(0) == 0

@@ -143,6 +143,19 @@ def test_range_checks_hold_after_the_caches_fill():
             multiplicity(setup, 1, p)
 
 
+def test_cells_check_p_before_any_twist_and_skip_the_lifted_zeros():
+    # example-b1's planes in C^4: rank 3, so every cell with p = 0 is zero
+    arr = resolve_fixture("example-b1")
+    lifted = Arrangement.from_normals(4, [h.normal + (0,) for h in arr.hyperplanes])
+    setup = prepare(lifted)
+    assert setup.lift == 1
+    for p in (-1, 4):
+        with pytest.raises(ValueError):
+            multiplicity(setup, 1, p)
+    assert [multiplicity(setup, k, 0) for k in range(1, 5)] == [0] * 4
+    assert not setup._twists and not setup._covectors
+
+
 def test_multiplicity_matches_free_ring_reference(setups):
     # the whole integrand in the free ring, reduced at the very end
     for name, setup in setups.items():
@@ -301,6 +314,7 @@ def test_non_essential_cells_equal_the_direct_route(arr, kind, rng):
     setup, direct = prepare(arr, closures), direct_setup(arr, closures)
     # the core's lattice is the input's with every flat's dimension relabelled
     core = setup.building.lattice
+    assert core.is_essential and setup.lift == lift
     rebuilt = build_lattice(core.arrangement)
     assert core.flats == rebuilt.flats and core.mobius == rebuilt.mobius
     assert core.masks == lattice.masks and core.mobius == lattice.mobius
