@@ -316,7 +316,7 @@ def essentialization(lattice: IntersectionLattice) -> IntersectionLattice:
     basis.  That projection is one to one on the normals' span, so the
     hyperplanes keep their order, multiplicities, closures and
     codimensions: the flats are the input's with each dimension relabelled
-    to r - codim, and no elimination runs again.  The masks, Mobius values,
+    to r - codim, not found again by elimination.  The masks, Mobius values,
     indexes and join cache depend only on the closures, so the two
     lattices share them.  Needs r >= 2, since an `Arrangement` lives in C^n
     with n >= 2.
