@@ -28,11 +28,13 @@ ring as a sparse map {variable: coefficient} that names only the
 variables it uses: minus the variables of c_0, of the elements strictly
 below v or of those weakly below v, or c_v alone.  `char_classes` runs
 one body on either kind of element: free-ring `GradedPoly`s, or, given
-the relation ideal, `QuotientElement`s, whose roots are integer
-combinations of the variables' degree-one normal forms and whose
-products read the ideal's integer structure constants.  The total and
-log Chern classes are built from the stored power sums when first read;
-the spectrum reads neither.
+the relation ideal, `QuotientElement`s, whose products read the ideal's
+integer structure constants.  Only the power sums differ: the free
+ring's come from `_power_sums`, kept as the tests' reference, and the
+quotient's from `IdealPresentation.power_sums`, which takes the powers
+of each root's linear form from the ring's sparse kernel and adds them
+in integer numerators.  The total and log Chern classes are built from
+the stored power sums when first read; the spectrum reads neither.
 
 `ch_dual_exterior_roots` is kept as an independent route to the same
 Chern characters: it expands the exponential sums over formal roots,
@@ -177,10 +179,12 @@ def char_classes(bs: BuildingSet, ideal: IdealPresentation | None = None) -> Cha
     """
     trunc = bs.n - 1
     free = partial(GradedPoly.linear, nvars=bs.size, trunc=trunc)
-    linear = free if ideal is None else ideal.linear
-    zero = linear({})
-    dual_log = _power_sums(_dual_log_roots(bs, linear), trunc, zero)
-    units = _power_sums(_unit_roots(bs, linear), trunc, zero)
+    roots = (_dual_log_roots, _unit_roots)
+    if ideal is None:
+        dual_log, units = (_power_sums(r(bs, free), trunc, free({})) for r in roots)
+    else:
+        dual_log, units = (ideal.power_sums(r(bs, dict)) for r in roots)
+    zero = dual_log[0]
     tangent = [a + b for a, b in zip(dual_log, units)]
     todd = _root_sum(series_log(q_series(trunc)), tangent).exp()
 

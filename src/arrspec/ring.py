@@ -17,28 +17,32 @@ the presentation a monomial is sparse, its (variable, exponent) pairs
 ascending in the variable, so a rewriting step costs the size of its
 support, not the number of variables.  A monomial whose support is not
 nested is zero, and supports are int bitmasks, so that test is one
-lookup.  The product of two basis
-monomials is the normal form of their product; its coefficients, the
-ring's structure constants, are read into a table by pair of basis
-indices on first use, and a pair whose supports do not unite to a
-nested set is zero without forming the product.
+lookup.  The product of two basis monomials is the normal form of their
+product; its coefficients are the ring's structure constants.  Only a
+pair whose supports unite to a nested set can have a nonzero product,
+so each basis monomial keeps one row, filled on first use, of such
+partners within the degree bound whose product is nonzero.
 
 `QuotientElement` is an element of the quotient: one integer numerator
-per basis monomial over one common denominator.  Its products read the
-table (`IdealPresentation._product`, on the numerator lists), so a
+per basis monomial over one common denominator.  Its products walk the
+rows (`IdealPresentation._product`, on the numerator lists), so a
 product costs one multiply-add per structure constant, in integers; the
 exponential sums its powers over one denominator and reduces once.  The
-top-degree quotient has rank one, spanned by c_0^(n-1), which is
-(-1)^(n-1) times the class of a point, so the table entry of two basis
-monomials of complementary degree is zero or one multiple of it.  An
-element a pairs with b through its covector u, an integer row over the
-whole basis whose entry b is the point-class value of a times basis[b],
-summed from those table entries (`IdealPresentation.covector`); the
-pairing is the dot product u . b over the two denominators.
+powers of a linear form (for the power sums of the Chern roots and the
+twists' exponentials) come from one sparse kernel on integer maps,
+`IdealPresentation._powers`.  The top-degree quotient has rank one,
+spanned by c_0^(n-1), which is (-1)^(n-1) times the class of a point, so
+the product of two basis monomials of complementary degree is zero or
+one multiple of it.  An element a pairs with b through its covector u,
+an integer row over the whole basis whose entry b is the point-class
+value of a times basis[b], summed from the tails of the rows
+(`IdealPresentation.covector`); the pairing is the dot product u . b
+over the two denominators.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations_with_replacement, groupby, product
@@ -267,7 +271,9 @@ class IdealPresentation:
     top rank is one, so it is the last basis monomial and the only one of
     top degree.
     `monomials[j]`, every degree-j monomial with nested support, is built
-    on first access; nothing on the spectrum path reads it.
+    on first access; nothing on the spectrum path reads it.  The
+    structure constants fill rows on first use (`_row`), so construction
+    allocates nothing quadratic in the rank.
     """
 
     def __init__(self, building: BuildingSet) -> None:
@@ -294,11 +300,14 @@ class IdealPresentation:
         self.quotient_ranks = [self._degrees.count(j) for j in range(self.trunc + 1)]
         # _starts[j]: index of the first basis monomial of degree j; _starts[trunc + 1] is the rank
         self._starts = list(accumulate(self.quotient_ranks, initial=0))
-        rank = len(self._standard)
-        # (i, j) -> structure constants of basis[i] * basis[j], as (index, integer) pairs
-        self._table: list[list[tuple[tuple[int, int], ...] | None]] = [
-            [None] * rank for _ in range(rank)
-        ]
+        # support bitmask -> its basis indices, ascending; support -> its partners, on first use
+        self._supports: dict[int, list[int]] = {}
+        for i, support in enumerate(self._masks):
+            self._supports.setdefault(support, []).append(i)
+        self._partners: dict[int, list[int]] = {}
+        # i -> {partner j: structure constants of basis[i] * basis[j]}, filled by `_row`
+        self._table: list[dict[int, tuple[tuple[int, int], ...]] | None]
+        self._table = [None] * len(self._standard)
         # variable -> its normal form, (index, integer) pairs; `linear` raises KeyError on others
         self._images: dict[int, tuple[tuple[int, int], ...]] = {}
         for v in range(building.size):
@@ -332,7 +341,7 @@ class IdealPresentation:
         u . y.num / (x.den * y.den); x.den is not applied.
 
         Each nonzero x.num[i] adds its products with the basis monomials of
-        complementary degree, read from the structure-constant table.
+        complementary degree, the tail of its row.
         """
         table, degrees, starts, top = self._table, self._degrees, self._starts, self.trunc
         sign = (-1) ** top
@@ -340,39 +349,79 @@ class IdealPresentation:
         for i, xi in enumerate(x.num):
             if not xi:
                 continue
-            row, xi, dual = table[i], sign * xi, top - degrees[i]
-            for b in range(starts[dual], starts[dual + 1]):
-                entry = row[b]
-                if entry is None:
-                    entry = self._constants(i, b)
-                # a top-degree product is zero or one multiple of c_0^(n-1)
+            xi, dual = sign * xi, starts[top - degrees[i]]
+            for b, entry in reversed((table[i] or self._row(i)).items()):
+                if b < dual:
+                    break
+                # a top-degree product is one multiple of c_0^(n-1)
                 for _, c in entry:
                     u[b] += xi * c
         return u
 
     def _product(self, a: list[int], b: list[int]) -> list[int]:
-        """Numerators of the product of two elements with numerators a and b.
-
-        Each pair of nonzero coefficients within the degree bound adds
-        its structure constants, read from the table.
-        """
-        table, degrees, starts, top = self._table, self._degrees, self._starts, self.trunc
-        right = [(j, y) for j, y in enumerate(b) if y]
+        """Numerators of the product of two elements with numerators a and b:
+        each nonzero a[i] walks its row and adds the entries where b is nonzero."""
+        table = self._table
         out = [0] * len(a)
         for i, x in enumerate(a):
             if not x:
                 continue
-            row, end = table[i], starts[top + 1 - degrees[i]]
-            for j, y in right:
-                if j >= end:
-                    break
-                entry = row[j]
-                if entry is None:
-                    entry = self._constants(i, j)
-                xy = x * y
-                for k, c in entry:
-                    out[k] += xy * c
+            for j, entry in (table[i] or self._row(i)).items():
+                if y := b[j]:
+                    xy = x * y
+                    for k, c in entry:
+                        out[k] += xy * c
         return out
+
+    def _powers(self, coeffs, m: int = 1):
+        """m * x^k for k = 1 .. n-1, x the class of the linear map `coeffs`,
+        each sparse {basis index: integer}, up to the first zero power: the
+        ring's one sparse kernel.  Each term of a power walks the degree-one
+        head of its row, so it meets the same nested pairs as `_product`."""
+        table, end = self._table, self._starts[2]
+        form = {i: c for i, c in enumerate(self.linear(coeffs).num) if c}
+        power = {i: m * c for i, c in form.items()}
+        # the power of degree n - 1 is the last: no product is formed past it
+        for _ in range(self.trunc - 1):
+            if not power:
+                return
+            yield power
+            out: dict[int, int] = {}
+            for i, x in power.items():
+                for j, entry in (table[i] or self._row(i)).items():
+                    if j >= end:
+                        break
+                    if y := form.get(j):
+                        for k, c in entry:
+                            out[k] = out.get(k, 0) + x * y * c
+            power = {k: c for k, c in out.items() if c}
+        if power:
+            yield power
+
+    def _row(self, i: int) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Partner j -> structure constants of basis[i] * basis[j], ascending
+        in j, for the nonzero products within the degree bound; never empty,
+        since basis[i] * 1 = basis[i].
+
+        The partners of a support, the basis indices whose support unites
+        with it to a nested set, are listed once per support; no other
+        product can be nonzero.  A filled row of j holds the entry for i.
+        """
+        support, table = self._masks[i], self._table
+        partners = self._partners.get(support)
+        if partners is None:
+            nested = self._nested
+            partners = self._partners[support] = sorted(
+                j for s, js in self._supports.items() if s | support in nested for j in js
+            )
+        row = {}
+        end = self._starts[self.trunc + 1 - self._degrees[i]]
+        for j in partners[: bisect_left(partners, end)]:
+            entry = self._constants(i, j) if table[j] is None else table[j].get(i)
+            if entry:
+                row[j] = entry
+        table[i] = row
+        return row
 
     def _limits_of(self, support: int) -> tuple[tuple[int, int], ...]:
         """(v, d) for v in the nested support (a bitmask) and 0, by decreasing
@@ -456,17 +505,9 @@ class IdealPresentation:
         return tuple(out.items())
 
     def _constants(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
-        """Structure constants of basis[i] * basis[j], filled in the table for both orders."""
-        got = self._table[i][j]
-        if got is None:
-            support = self._masks[i] | self._masks[j]
-            if support in self._nested:
-                mono = _times(self._standard[i], self._standard[j])
-                got = _integral(self._form(mono, support), mono)
-            else:
-                got = ()
-            self._table[i][j] = self._table[j][i] = got
-        return got
+        """Structure constants of basis[i] * basis[j]."""
+        mono = _times(self._standard[i], self._standard[j])
+        return _integral(self._form(mono, self._masks[i] | self._masks[j]), mono)
 
     # elements
 
@@ -481,6 +522,27 @@ class IdealPresentation:
             for i, c in self._images[v]:
                 num[i] += a * c
         return QuotientElement(self, num)
+
+    def exp_linear(self, coeffs) -> "QuotientElement":
+        """`linear(coeffs).exp()`: the sum of (t!/j!) * x^j over the one
+        denominator t!, t = n - 1, with the powers x^j from `_powers`."""
+        total = factorial(self.trunc)
+        num = [total] + [0] * (len(self._standard) - 1)
+        for j, power in enumerate(self._powers(coeffs), start=1):
+            for i, c in power.items():
+                num[i] += total // factorial(j) * c
+        return QuotientElement(self, num, total)
+
+    def power_sums(self, roots) -> list["QuotientElement"]:
+        """P_k = sum of m * x^k over the roots (m, coeffs), x the class of the
+        linear map `coeffs`, for k = 0 .. n-1 (P_0 is zero): the powers from
+        `_powers`, added up in integer numerators, one element per sum."""
+        sums = [[0] * len(self._standard) for _ in range(self.trunc + 1)]
+        for m, coeffs in roots:
+            for acc, power in zip(sums[1:], self._powers(coeffs, m)):
+                for i, c in power.items():
+                    acc[i] += c
+        return [QuotientElement(self, num) for num in sums]
 
     def element(self, poly: GradedPoly) -> "QuotientElement":
         """The class of `poly` in the quotient."""

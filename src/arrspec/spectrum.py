@@ -19,15 +19,16 @@ core's cell at p - lift, and every cell with p < lift is zero.
 Every class is a `QuotientElement`, in the quotient ring over its
 standard-monomial basis.  The product ch * Todd is computed once per p
 and kept only as its pairing covector u, an integer row over the whole
-basis read from the ring's structure-constant table, with the
-denominator alongside; the exponential of the divisor sum of shifts is
-computed once per distinct vector of shifts, in integers.  Both are
-cached on the `SpectrumSetup`, and the divisor sum is an integer
-combination of the variables' degree-one normal forms.  Each cell is
-then one integer dot product u . t over the two denominators, without
-forming the product of the two classes.  The shifts are computed in
-integers, once per k, and only for element 0 and the elements of
-codimension >= 2: a hyperplane element never shifts.
+basis read from the ring's structure-constant rows, with the denominator
+alongside; the exponential of the divisor sum of shifts is computed once
+per distinct vector of shifts, in integers, from the powers of that
+linear form in the ring's sparse kernel.  Both are cached on the
+`SpectrumSetup`, and the divisor sum is an integer combination of the
+variables' degree-one normal forms.  Each cell is then one integer dot
+product u . t over the two denominators, without forming the product of
+the two classes.  The shifts are computed in integers, once per k, and
+only for element 0 and the elements of codimension >= 2: a hyperplane
+element never shifts.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ class SpectrumSetup:
         if got is None:
             # the hyperplane elements' coefficients are zero
             coeffs = {0: key[0]} | {v: key[v] for v, _, _ in self._twisted}
-            got = self._twists[key] = self.ideal.linear(coeffs).exp()
+            got = self._twists[key] = self.ideal.exp_linear(coeffs)
         return got
 
 

@@ -59,6 +59,12 @@ def class_list(cl):
     return [cl.total, cl.todd, cl.log_chern, *cl.dual_ch]
 
 
+def with_power_sums(cl):
+    """The classes and the power sums they are built from: the quotient's
+    come from the ring's sparse kernel, the free ring's from products."""
+    return [*class_list(cl), *cl.tangent, *cl.dual_log]
+
+
 def random_poly(rng, nv, trunc, count):
     """Random polynomial whose monomials may have any support."""
     terms = {}
@@ -76,7 +82,7 @@ def monomial_element(ideal, mono):
 def assert_quotient_classes(bs):
     ideal = ideal_generators(bs)
     free, quotient = char_classes(bs), char_classes(bs, ideal)
-    for f, q in zip(class_list(free), class_list(quotient)):
+    for f, q in zip(with_power_sums(free), with_power_sums(quotient)):
         assert ideal.element(f).poly() == q.poly()
     # products of dense elements against the rewritten free product
     frees = class_list(free)
@@ -86,7 +92,7 @@ def assert_quotient_classes(bs):
 
 def test_quotient_classes_are_normal_forms_of_free_classes(setups):
     for name, setup in setups.items():
-        for f, q in zip(class_list(setup.classes), class_list(setup.quotient)):
+        for f, q in zip(with_power_sums(setup.classes), with_power_sums(setup.quotient)):
             assert setup.ideal.element(f).poly() == q.poly(), name
 
 
@@ -225,9 +231,10 @@ def test_structure_constants_are_integral_commutative_and_associative(setups):
         for x in basis:
             for y in basis:
                 assert x * y == y * x
+        # every pair of basis monomials has been multiplied, so every row is filled
         for row in ideal._table:
-            for entry in row:
-                assert entry is None or all(type(c) is int for _, c in entry)
+            for entry in row.values():
+                assert all(type(c) is int for _, c in entry)
         # triples of positive degree whose product can reach the top degree
         positive = list(zip(ideal.basis, basis))[1:]
         triples = [
@@ -467,6 +474,50 @@ def test_the_spectrum_path_leaves_the_dense_basis_unbuilt():
         setup = prepare(arrangement, building)
         spectrum_from_setup(setup)
         assert "basis" not in vars(setup.ideal), name
+
+
+def test_the_table_is_filled_lazily_and_only_for_nested_pairs(setups):
+    arr4, closures4 = braid(4)
+    arr5, closures5 = braid(5)
+    inputs = [(name, resolve_fixture(name), None) for name in setups]
+    inputs += [
+        ("braid A4", arr4, None),
+        ("braid A4 minimal", arr4, closures4),
+        ("braid A5 minimal", arr5, closures5),
+    ]
+    for name, arrangement, building in inputs:
+        setup = prepare(arrangement, building)
+        fresh = ideal_generators(setup.building)
+        assert not fresh._partners and all(row is None for row in fresh._table), name
+        spectrum_from_setup(setup)
+        ideal = setup.ideal
+        masks, degrees, nested = ideal._masks, ideal._degrees, ideal._nested
+        # each partner row is the brute-force list of nested-compatible indices, ascending
+        for support, partners in ideal._partners.items():
+            assert partners == [j for j in range(len(masks)) if support | masks[j] in nested], name
+        filled = [(i, row) for i, row in enumerate(ideal._table) if row is not None]
+        assert filled, name
+        for i, row in filled:
+            assert all(masks[i] | masks[j] in nested for j in row), (name, i)
+            # the nonzero products within the degree bound, each entry as computed directly
+            within = [j for j in ideal._partners[masks[i]] if degrees[i] + degrees[j] <= ideal.trunc]
+            assert list(row) == [j for j in within if ideal._constants(i, j)], (name, i)
+            assert all(entry == ideal._constants(i, j) for j, entry in row.items()), (name, i)
+
+
+def test_sparse_kernel_routes_equal_the_dense_products(setups):
+    # the quotient's power sums and twists take their powers from the sparse
+    # linear-form kernel; the references multiply whole elements
+    arr, closures = braid(4)
+    for setup in [*setups.values(), prepare(arr), prepare(arr, closures)]:
+        bs, ideal = setup.building, setup.ideal
+        zero = ideal.constant(0)
+        for roots in (chern._dual_log_roots, chern._unit_roots):
+            dense = chern._power_sums(roots(bs, ideal.linear), ideal.trunc, zero)
+            assert ideal.power_sums(roots(bs, dict)) == dense
+        for k in range(1, setup.degree + 1):
+            x = ideal.linear(dict(enumerate(setup.twist_key(k))))
+            assert setup.twist(k) == fraction_exp(x) == x.exp(), k
 
 
 def test_irreducible_braid_ranks_are_keel_betti_numbers():
