@@ -9,6 +9,12 @@ not reappear at a positive index.
 Element order is part of the data: index 0 first, then flats by ascending
 dimension with ties broken lexicographically on closures.  Polynomial
 variables downstream are numbered by this order.
+
+The nested sets come from one depth-first pass, `_nested_sets`, that
+grows them as int bitmasks and carries each one's exponent bounds over
+from the set it grew from; the relation ideal reads it directly, and
+`enumerate_nested` is its sorted view as frozensets.  `is_nested` tests
+one set from the definition, independently of the pass.
 """
 
 from __future__ import annotations
@@ -178,38 +184,97 @@ def is_nested(bs: BuildingSet, subset) -> bool:
 
 
 def enumerate_nested(bs: BuildingSet, max_size: int) -> list[frozenset[int]]:
-    """All nested subsets of the positive-index elements, up to `max_size`.
+    """All nested subsets of the positive-index elements, up to `max_size`
+    elements, sorted by size and then by their ascending elements.
 
-    Depth-first: nestedness is closed under taking subsets, so a branch
-    dies as soon as one extension fails.  Adding j to a nested set can
-    only break an antichain through j, whose other members are all
-    incomparable to j, so only those antichains are tested, with the
-    comparabilities read from `BuildingSet.below`.  (An explicit
-    stack, not a recursive closure: a closure that calls itself is a
-    reference cycle, which would keep the whole lattice alive until the
-    cyclic collector runs.)
+    A view of the depth-first pass `_nested_sets`; `max_size` is an int
+    in 0 .. n-1.
     """
-    if max_size > bs.n - 1:
-        raise ValueError(f"max_size {max_size} exceeds the ambient bound {bs.n - 1}")
-    out: list[frozenset[int]] = [frozenset()]
-    stack: list[tuple[tuple[int, ...], int]] = [((), 1)] if max_size > 0 else []
+    if isinstance(max_size, bool) or not isinstance(max_size, int) or not 0 <= max_size < bs.n:
+        raise ValueError(f"max_size must be an int in 0..{bs.n - 1}, not {max_size!r}")
+    found = [elems for _, elems, _ in _nested_sets(bs, max_size)]
+    found.sort(key=lambda s: (len(s), s))
+    return [frozenset(s) for s in found]
+
+
+def _nested_sets(bs: BuildingSet, max_size: int):
+    """Every nested set of at most `max_size` positive elements, depth-first
+    from the empty set, as (bitmask, ascending elements, exponent bounds):
+    (v, d) for v in the set and the formal element 0, by decreasing
+    dimension and then ascending v, with d = dim(intersection of the set's
+    elements strictly above v) - dim(v) (Feichtner-Yuzvinsky).
+
+    A set grows by elements j past its largest, so none of it lies above
+    j, and a branch dies at its first failed extension, since nestedness
+    is closed under taking subsets.  One AND against j's nested pairs,
+    listed when j first extends a non-empty set, tests every pair with j;
+    `_extends` tests the larger antichains through j only when two or
+    more of the set are incomparable to j.  A child's bounds are its
+    parent's plus j's, n - dim(j); for 0 and each element below j, j's
+    hyperplane mask is ORed into that of the elements above it, at one
+    `join` each.  (An explicit stack, not a recursive closure: a closure
+    that calls itself is a reference cycle, which would keep the whole
+    lattice alive until the cyclic collector runs.)
+    """
+    n, size, dims, masks = bs.n, bs.size, bs.dims, bs.masks
+    join, dim_of = bs.lattice.join, [f.dim for f in bs.lattice.flats]
+    below = [sum(1 << w for w in ws) for ws in bs.below]
+    pairs: list[int | None] = [None] * size
+    # (bitmask, elements, bounds, hyperplane masks of the elements above each bound's v, next j)
+    stack = [(0, (), ((0, n),), (0,), 1)]
     while stack:
-        current, start = stack.pop()
-        for j in range(start, bs.size):
-            cand = current + (j,)
-            # `current` precedes j in the element order, so none of it lies above j
-            if _extends(bs, [a for a in current if a not in bs.below[j]], j):
-                out.append(frozenset(cand))
-                if len(cand) < max_size:
-                    stack.append((cand, j + 1))
-    out.sort(key=lambda s: (len(s), sorted(s)))
+        mask, elems, limits, ors, start = stack.pop()
+        yield mask, elems, limits
+        if len(elems) == max_size:
+            continue
+        for j in range(start, size):
+            bj = below[j]
+            # the empty set takes every element, with no pair mask built
+            if mask:
+                ok = pairs[j]
+                if ok is None:
+                    ok = pairs[j] = _pairs_with(bs, j, bj)
+                if mask & ~ok:
+                    continue
+                # the present elements not below j are incomparable to it
+                others = mask & ~bj
+                if others & (others - 1):
+                    if not _extends(bs, [a for a in elems if others >> a & 1], j):
+                        continue
+            mj, dj = masks[j], dims[j]
+            # j follows the present elements of its dimension, which lead
+            # the bounds, and precedes the rest, 0 last
+            k = 0
+            while dims[limits[k][0]] == dj:
+                k += 1
+            child, child_ors = [*limits[:k], (j, n - dj)], [*ors[:k], 0]
+            for (v, d), o in zip(limits[k:], ors[k:]):
+                if bj >> v & 1:
+                    o |= mj
+                    d = dim_of[join(o)] - dims[v]
+                child.append((v, d))
+                child_ors.append(o)
+            stack.append((mask | 1 << j, elems + (j,), tuple(child), tuple(child_ors), j + 1))
+
+
+def _pairs_with(bs: BuildingSet, j: int, below_j: int) -> int:
+    """Bitmask of the elements i < j with {i, j} nested: those below j, and
+    the others when their intersection with j is not an element.  The
+    maximal set lists every flat, so there only those below j."""
+    if bs.is_maximal:
+        return below_j
+    out = below_j
+    for i in range(1, j):
+        if not below_j >> i & 1 and bs.intersection_element((i, j)) is None:
+            out |= 1 << i
     return out
 
 
 def _extends(bs: BuildingSet, others: list[int], j: int) -> bool:
-    """Whether no antichain of j and some of `others`, ascending and each
-    incomparable to j, intersects in a building-set element."""
-    for size in range(1, len(others) + 1):
+    """Whether no antichain of j and two or more of `others`, ascending and
+    each incomparable to j, intersects in a building-set element; the
+    pairs with j are tested by the caller."""
+    for size in range(2, len(others) + 1):
         for sub in combinations(others, size):
             # a precedes b, so only a can lie below b
             if any(a in bs.below[b] for a, b in combinations(sub, 2)):

@@ -50,7 +50,7 @@ from math import factorial, gcd, lcm
 from operator import add, mul
 
 from .arrangement import StructureError
-from .nested import BuildingSet, d_value, enumerate_nested
+from .nested import BuildingSet, _nested_sets, d_value, enumerate_nested
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -260,7 +260,9 @@ class IdealPresentation:
     standard monomials, those no leading term divides, are a basis of the
     quotient: the support (element 0 aside) is nested, and every exponent
     m_v, element 0 included, is below dim(intersection of the support
-    elements strictly above v) - dim(v).
+    elements strictly above v) - dim(v).  The nested supports and these
+    bounds come from one pass (`nested._nested_sets`) into `_nested` and
+    `_limits`, both keyed by the support's bitmask.
 
     `basis` lists the standard monomials by degree, lexicographically
     largest first within a degree, and `quotient_ranks[j]` counts those of
@@ -278,9 +280,12 @@ class IdealPresentation:
 
     def __init__(self, building: BuildingSet) -> None:
         self.building = building
-        # nested set as a bitmask -> its elements, ascending
-        self._nested = {_mask(s): sorted(s) for s in enumerate_nested(building, self.trunc)}
+        # nested set as a bitmask -> its elements, ascending, and its exponent bounds
+        self._nested: dict[int, tuple[int, ...]] = {}
         self._limits: dict[int, tuple[tuple[int, int], ...]] = {}
+        for support, elems, limits in _nested_sets(building, self.trunc):
+            self._nested[support] = elems
+            self._limits[support] = limits
         self._expansions: dict[tuple[int, int], tuple[tuple[Sparse, int, int], ...]] = {}
         # monomial with nested support -> its normal form, as (basis index, integer) pairs
         self._forms: dict[Sparse, tuple[tuple[int, int], ...]] = {}
@@ -289,7 +294,7 @@ class IdealPresentation:
         self._standard: list[Sparse] = sorted(
             (
                 tuple(sorted((v, e) for (v, _), e in zip(limits, exps) if e))
-                for limits in map(self._limits_of, self._nested)
+                for limits in self._limits.values()
                 for exps in product(*(range(1 if v else 0, d) for v, d in limits))
             ),
             key=lambda m: (sum(e for _, e in m), [(v, -e) for v, e in m]),
@@ -423,19 +428,6 @@ class IdealPresentation:
         table[i] = row
         return row
 
-    def _limits_of(self, support: int) -> tuple[tuple[int, int], ...]:
-        """(v, d) for v in the nested support (a bitmask) and 0, by decreasing
-        dimension: d = dim(intersection of the support elements strictly
-        above v) - dim(v)."""
-        got = self._limits.get(support)
-        if got is None:
-            bs, elems = self.building, self._nested[support]
-            got = self._limits[support] = tuple(
-                (v, bs.intersection_dim([u for u in elems if v in bs.below[u]]) - bs.dims[v])
-                for v in sorted((0, *elems), key=lambda v: (-bs.dims[v], v))
-            )
-        return got
-
     def _expansion(self, w: int, d: int) -> tuple[tuple[Sparse, int, int], ...]:
         """The terms of (sum of x_v over v <= w)^d other than x_w^d, as
         (sparse exponents, support bitmask, multinomial coefficient); terms
@@ -479,7 +471,7 @@ class IdealPresentation:
         of x_W to an element of smaller dimension, so the rewriting ends.
         """
         exps = dict(mono)
-        over = next(((w, d) for w, d in self._limits_of(support) if exps.get(w, 0) >= d), None)
+        over = next(((w, d) for w, d in self._limits[support] if exps.get(w, 0) >= d), None)
         if over is None:
             return ((self.index[mono], 1),)
         w, d = over

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_quotient import braid
 from test_ring import TERNARY, building_closure
 
 from arrspec import (
@@ -15,6 +16,7 @@ from arrspec import (
     building_from_closures,
     d_value,
     enumerate_nested,
+    ideal_generators,
     is_nested,
     maximal_building,
 )
@@ -25,6 +27,15 @@ QUARTIC = build_lattice(
     Arrangement.from_normals(3, [(1, -1, 0), (1, 1, 0), (1, 0, -1), (1, 0, 1)])
 )
 SINGLE = build_lattice(Arrangement.from_normals(3, [(1, 0, 0)]))
+
+
+def coordinate_c4():
+    """The coordinate hyperplanes of C^4 with the flat {0,1,2} and the origin:
+    hyperplanes 0, 1 and 2 are nested in pairs but not together, since they
+    meet in {0,1,2}."""
+    normals = [tuple(int(i == k) for k in range(4)) for i in range(4)]
+    lattice = build_lattice(Arrangement.from_normals(4, normals))
+    return building_from_closures(lattice, [[0], [1], [2], [3], [0, 1, 2], [0, 1, 2, 3]])
 
 
 def test_maximal_sizes():
@@ -174,9 +185,51 @@ def test_enumerate_nested_is_downward_closed():
 
 
 def test_enumerate_nested_respects_bound():
+    # the bound is an int in 0..n-1; a bool is not taken as 0 or 1
     bs = maximal_building(QUARTIC)
-    with pytest.raises(ValueError):
-        enumerate_nested(bs, bs.n)
+    assert enumerate_nested(bs, 0) == [frozenset()]
+    assert len(enumerate_nested(bs, bs.n - 1)) > len(enumerate_nested(bs, 1))
+    for bad in (-1, bs.n, True, False, "1", 1.0, None):
+        with pytest.raises(ValueError):
+            enumerate_nested(bs, bad)
+
+
+def test_enumerate_nested_tests_antichains_the_pairs_cannot_decide():
+    bs = coordinate_c4()
+    hyperplanes = [bs.closures.index((i,)) for i in range(3)]
+    assert all(is_nested(bs, pair) for pair in combinations(hyperplanes, 2))
+    assert not is_nested(bs, hyperplanes)
+    expected = {
+        frozenset(sub)
+        for size in range(bs.n)
+        for sub in combinations(range(1, bs.size), size)
+        if is_nested(bs, sub)
+    }
+    found = enumerate_nested(bs, bs.n - 1)
+    assert len(found) == len(expected) == 21
+    assert set(found) == expected
+
+
+def test_inherited_bounds_equal_the_bounds_from_scratch(setups):
+    # the pass derives each nested set's exponent bounds from its parent's;
+    # here every bound is the intersection of the elements above v, from scratch
+    buildings = [s.building for s in setups.values()] + [coordinate_c4()]
+    for n in (3, 4, 5):
+        arr, closures = braid(n)
+        lattice = build_lattice(arr)
+        buildings += [maximal_building(lattice), building_from_closures(lattice, closures)]
+    for bs in buildings:
+        found = enumerate_nested(bs, bs.n - 1)
+        assert found == sorted(found, key=lambda s: (len(s), sorted(s)))
+        ideal = ideal_generators(bs)
+        assert set(ideal._nested) == set(ideal._limits) == {sum(1 << v for v in s) for s in found}
+        for mask, elems in ideal._nested.items():
+            assert elems == tuple(v for v in range(1, bs.size) if mask >> v & 1)
+            expected = tuple(
+                (v, bs.intersection_dim([u for u in elems if bs.lt(v, u)]) - bs.dims[v])
+                for v in sorted((0, *elems), key=lambda v: (-bs.dims[v], v))
+            )
+            assert ideal._limits[mask] == expected, (bs, elems)
 
 
 def test_d_value_chain():
