@@ -17,12 +17,12 @@ primitive integer direction, so the elimination runs in integers.  A
 cover is that basis plus one more normal, and only hyperplanes outside
 every cover already found from it need a containment test, since two
 covers of a flat share only the flat's own hyperplanes.  A cover of rank
-n is the origin, which needs no elimination.  Once the
-lattice is built, every closure query is `IntersectionLattice.join`, a
-cached scan over the bitmasks of the flats on the query's lowest
-hyperplane: no elimination runs after `build_lattice`.
-`essentialization` gives the same lattice for the arrangement's
-essentialization in C^r, r its rank, by relabelling each flat's dimension.
+n is the origin, which needs no elimination.  `IntersectionLattice(flats)`
+is the whole lattice, and every closure query is its cached `join`, a
+scan over the bitmasks of the flats on the query's lowest hyperplane: no
+elimination runs after `build_lattice`.  `essentialization` gives the
+same lattice for the arrangement's essentialization in C^r, r its rank,
+by relabelling each flat's dimension.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .linalg import EchelonBasis
@@ -173,40 +174,43 @@ class Arrangement:
 class IntersectionLattice:
     """All intersections of hyperplanes of an arrangement, ordered by inclusion.
 
-    Flats are listed by ascending codimension (ties broken lexicographically
-    on closures), starting with the ambient space itself.  `masks[i]` is the
-    closure of `flats[i]` as a bitmask of hyperplane indices, and
-    `mobius[i]` is the Mobius value of the interval from the ambient space
-    down to `flats[i]`.
+    Built from its flats alone, listed by ascending codimension (ties broken
+    lexicographically on closures) from the ambient space, of dimension `n`,
+    to the intersection of all hyperplanes.  `masks[i]` is the closure of
+    `flats[i]` as a bitmask of hyperplane indices, and `mobius[i]`, computed
+    on first read, is the Mobius value of the interval from the ambient
+    space down to `flats[i]`.
     """
 
-    __slots__ = ("arrangement", "flats", "masks", "mobius", "_index", "_holding", "_joins")
-
-    def __init__(self, arrangement: Arrangement, flats) -> None:
-        self.arrangement = arrangement
+    def __init__(self, flats) -> None:
         self.flats: tuple[Flat, ...] = tuple(flats)
-        self._index = {f.closure: i for i, f in enumerate(self.flats)}
         self.masks: tuple[int, ...] = tuple(sum(1 << i for i in f.closure) for f in self.flats)
-        # _holding[h]: the indices of the flats on hyperplane h, ascending
-        holding: list[list[int]] = [[] for _ in range(arrangement.size)]
+        # _holding[h]: the indices of the flats on hyperplane h, ascending (the last on every h)
+        holding: list[list[int]] = [[] for _ in self.flats[-1].closure]
         for i, f in enumerate(self.flats):
             for h in f.closure:
                 holding[h].append(i)
         self._holding = tuple(map(tuple, holding))
         self._joins: dict[int, int] = {0: 0}
+
+    @property
+    def n(self) -> int:
+        return self.flats[0].dim
+
+    @cached_property
+    def mobius(self) -> tuple[int, ...]:
         # mu(V) = -(sum of mu over the flats strictly containing V), all of
         # which have smaller codimension and so come earlier
         mobius = [1]
         for m in self.masks[1:]:
             mobius.append(-sum(mu for mu, u in zip(mobius, self.masks) if not u & ~m))
-        self.mobius: tuple[int, ...] = tuple(mobius)
-
-    @property
-    def n(self) -> int:
-        return self.arrangement.n
+        return tuple(mobius)
 
     def flat_index(self, closure) -> int | None:
-        return self._index.get(tuple(sorted(closure)))
+        """Index of the flat whose closure is the given hyperplane indices, None if none is."""
+        key = set(closure)
+        i = self.join(sum(1 << h for h in key if 0 <= h < len(self._holding)))
+        return i if set(self.flats[i].closure) == key else None
 
     def leq(self, a: Flat, b: Flat) -> bool:
         """Subspace containment: a <= b."""
@@ -233,7 +237,7 @@ class IntersectionLattice:
     def closure_of(self, indices) -> tuple[tuple[int, ...], int]:
         """Closure and rank of the span of the given hyperplanes' normals."""
         key = set(indices)
-        if not all(0 <= i < self.arrangement.size for i in key):
+        if not all(0 <= i < len(self._holding) for i in key):
             raise ValueError(f"hyperplane indices {sorted(key)!r} out of range")
         flat = self.flats[self.join(sum(1 << i for i in key))]
         return flat.closure, flat.codim
@@ -261,7 +265,7 @@ class IntersectionLattice:
         ]
 
     def __repr__(self) -> str:
-        return f"IntersectionLattice({len(self.flats)} flats of {self.arrangement!r})"
+        return f"IntersectionLattice({len(self.flats)} flats in C^{self.n})"
 
 
 def build_lattice(arrangement: Arrangement) -> IntersectionLattice:
@@ -306,31 +310,21 @@ def build_lattice(arrangement: Arrangement) -> IntersectionLattice:
 
     flats = [Flat(cl, n - r, r) for cl, r in found.items()]
     flats.sort(key=lambda f: (f.codim, f.closure))
-    return IntersectionLattice(arrangement, flats)
+    return IntersectionLattice(flats)
 
 
 def essentialization(lattice: IntersectionLattice) -> IntersectionLattice:
     """The lattice of the arrangement's essentialization in C^r, r its rank.
 
-    Each normal keeps only the pivot coordinates of the normals' echelon
-    basis.  That projection is one to one on the normals' span, so the
-    hyperplanes keep their order, multiplicities, closures and
-    codimensions: the flats are the input's with each dimension relabelled
-    to r - codim, not found again by elimination.  The masks, Mobius values,
-    indexes and join cache depend only on the closures, so the two
-    lattices share them.  Needs r >= 2, since an `Arrangement` lives in C^n
-    with n >= 2.
+    Every flat contains X, the intersection of all hyperplanes, so the
+    flats of C^n / X, of dimension r, are the input's with the same
+    closures and codimensions: the lattice is a copy with each flat's
+    dimension relabelled to r - codim, and no elimination.  The masks, the
+    index of the flats by hyperplane, the join cache and any Mobius values
+    already read depend only on the closures, so the two share them.
     """
-    arrangement = lattice.arrangement
-    basis = EchelonBasis()
-    for h in arrangement.hyperplanes:
-        basis.insert({j: c for j, c in enumerate(h.normal) if c})
-    pivots = sorted(basis.rows)
-    r = len(pivots)
+    r = lattice.flats[-1].codim
     core = copy(lattice)
-    core.arrangement = Arrangement(
-        r, [Hyperplane(tuple(h.normal[j] for j in pivots), h.mult) for h in arrangement.hyperplanes]
-    )
     core.flats = tuple(Flat(f.closure, r - f.codim, f.codim) for f in lattice.flats)
     return core
 

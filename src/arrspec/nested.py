@@ -55,7 +55,7 @@ class BuildingSet:
         self.codims = (lattice.n,) + tuple(f.codim for f in self.flats)
         self.closures = (None,) + tuple(f.closure for f in self.flats)
         # closures as bitmasks; the formal zero element lies on every hyperplane
-        self.masks = ((1 << lattice.arrangement.size) - 1,) + tuple(lattice.masks[i] for i in order)
+        self.masks = (lattice.masks[-1],) + tuple(lattice.masks[i] for i in order)
         # below[v]: the elements strictly below v; a flat strictly below v has
         # smaller dimension, so it comes earlier in the element order
         self.below: tuple[frozenset[int], ...] = tuple(
@@ -127,15 +127,18 @@ def building_from_closures(lattice: IntersectionLattice, closure_sets) -> Buildi
     the building-set axiom: for every proper flat X, the smallest listed
     flats containing X (those whose closures are inclusion-maximal inside
     X's closure) have codimensions summing to codim(X), so X is their
-    direct sum.  A selection that fails is rejected with a `ValidationError`.
+    direct sum.  A selection that fails, or lists an entry that is not an
+    int, is rejected with a `ValidationError`.
     A listed X is its own only such flat, so only unlisted flats are counted.
     """
     flats, masks = lattice.flats, lattice.masks
     chosen: set[int] = set()
-    for raw in closure_sets:
-        i = lattice.flat_index(set(raw))
+    for raw in map(list, closure_sets):
+        if not all(type(h) is int for h in raw):  # a bool is not an index
+            raise ValidationError(f"closure set {raw!r} must list hyperplane indices")
+        i = lattice.flat_index(raw)
         if i is None or flats[i].codim == 0:
-            raise ValidationError(f"closure set {list(raw)!r} is not a proper flat")
+            raise ValidationError(f"closure set {raw!r} is not a proper flat")
         chosen.add(i)
     for i, f in enumerate(flats):
         if f.codim == 1 and i not in chosen:

@@ -214,7 +214,8 @@ def prepare(arrangement: Arrangement, building_closures=None) -> SpectrumSetup:
 
     An input of rank 2 <= r < n is computed on its essentialization, which
     has the same lattice in C^r.  A single hyperplane (r = 1) keeps its own
-    lattice, because an arrangement needs n >= 2.
+    lattice: in C^1 its ring would have degree 0, and the ring's `_powers`
+    reads degree 1.
     """
     lattice = build_lattice(arrangement)
     core = lattice

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from arrspec import (
     Arrangement,
     Hyperplane,
+    IntersectionLattice,
     ValidationError,
     build_lattice,
     euler_projective_complement,
 )
+from arrspec.fixtures import resolve_fixture
 from arrspec.linalg import EchelonBasis
+from test_quotient import braid
 
 THREE_LINES = Arrangement.from_normals(2, [(1, 0), (0, 1), (1, 1)])
 QUARTIC = Arrangement.from_normals(3, [(1, -1, 0), (1, 1, 0), (1, 0, -1), (1, 0, 1)])
@@ -280,3 +283,40 @@ def test_join_is_the_first_flat_holding_the_mask(arr, data):
         else:
             assert lat.join(mask) == want
     assert lat.join(0) == 0
+
+
+def assert_lattice_is_its_flats(lat):
+    """The lattice built from `lat.flats` alone answers every query as `lat`
+    does, and `flat_index` finds exactly the flats' closures."""
+    again = IntersectionLattice(lat.flats)
+    assert again.n == lat.n and again.masks == lat.masks
+    assert again.mobius == lat.mobius and again.covers() == lat.covers()
+    index = {f.closure: i for i, f in enumerate(lat.flats)}
+    size = len(lat.flats[-1].closure)
+    for mask in range(1 << size):
+        closure = tuple(h for h in range(size) if mask >> h & 1)
+        assert again.join(mask) == lat.join(mask)
+        assert again.flat_index(closure) == lat.flat_index(closure) == index.get(closure)
+    for bad in ([-1], [size], [0, size + 5]):
+        assert again.flat_index(bad) is None
+
+
+@pytest.mark.parametrize(
+    "name", ["example-a", "example-a-weighted", "example-b1", "example-b2", "generic3d:6", "lines:7"]
+)
+def test_lattice_is_its_flats_on_fixtures(name):
+    assert_lattice_is_its_flats(build_lattice(resolve_fixture(name)))
+
+
+def test_braid_lattices_are_their_flats():
+    # braid A3 in C^4 is not essential
+    a3, _ = braid(3)
+    a3_c4 = Arrangement.from_normals(4, [h.normal + (0,) for h in a3.hyperplanes])
+    for arr in (a3, a3_c4, braid(4)[0]):
+        assert_lattice_is_its_flats(build_lattice(arr))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_arrangements(), ternary_arrangements()))
+def test_lattice_is_its_flats(arr):
+    assert_lattice_is_its_flats(build_lattice(arr))

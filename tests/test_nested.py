@@ -19,6 +19,7 @@ from arrspec import (
     ideal_generators,
     is_nested,
     maximal_building,
+    spectrum,
 )
 from arrspec.fixtures import resolve_fixture
 
@@ -271,6 +272,27 @@ def test_custom_building_set_roundtrip():
 def test_custom_building_set_rejects_non_flats():
     with pytest.raises(ValidationError):
         building_from_closures(THREE_LINES, [[0], [1], [2], [0, 1]])
+
+
+GENERIC_C3 = Arrangement.from_normals(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+
+
+@pytest.mark.parametrize(
+    "closures",
+    [
+        [[True], [False], [2], [3]],
+        # read as hyperplanes 1 and 0, this is a building set
+        [[True], [False], [2], [3], [0, 1, 2, 3]],
+        [[-1]],
+        [[99]],
+    ],
+)
+def test_custom_building_set_rejects_entries_that_are_not_hyperplane_indices(closures):
+    building_from_closures(build_lattice(GENERIC_C3), [[1], [0], [2], [3], [0, 1, 2, 3]])
+    with pytest.raises(ValidationError, match=r"closure set \[(True|-1|99)\]"):
+        building_from_closures(build_lattice(GENERIC_C3), closures)
+    with pytest.raises(ValidationError, match=r"closure set \[(True|-1|99)\]"):
+        spectrum(GENERIC_C3, closures)
 
 
 BRAID_A3 = build_lattice(

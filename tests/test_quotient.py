@@ -100,7 +100,8 @@ def draw_lattice(data, most_in_c4):
     n = data.draw(st.sampled_from([3, 4]))
     most = 6 if n == 3 else most_in_c4
     normals = st.lists(st.sampled_from(TERNARY[n]), min_size=3, max_size=most, unique=True)
-    return build_lattice(Arrangement.from_normals(n, data.draw(normals)))
+    arr = Arrangement.from_normals(n, data.draw(normals))
+    return arr, build_lattice(arr)
 
 
 def draw_custom_closures(data, lattice):
@@ -113,7 +114,7 @@ def draw_custom_closures(data, lattice):
 @given(st.data())
 def test_quotient_classes_on_random_building_sets(data):
     # four normals at most in C^4 keep the free-ring classes fast
-    lattice = draw_lattice(data, 4)
+    _, lattice = draw_lattice(data, 4)
     assert_quotient_classes(maximal_building(lattice))
     assert_quotient_classes(building_from_closures(lattice, draw_custom_closures(data, lattice)))
 
@@ -319,8 +320,7 @@ def test_corrupted_quotient_class_fails_the_cross_route_check(setups):
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_spectrum_does_not_depend_on_the_building_set(data):
-    lattice = draw_lattice(data, 5)
-    arr = lattice.arrangement
+    arr, lattice = draw_lattice(data, 5)
     count = len(arr.hyperplanes)
     mults = data.draw(st.lists(st.integers(1, 3), min_size=count, max_size=count))
     weighted = Arrangement.from_normals(arr.n, [h.normal for h in arr.hyperplanes], mults)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from arrspec import (
     Arrangement,
     GradedPoly,
+    Hyperplane,
     SpectrumSetup,
     StructureError,
     ValidationError,
@@ -32,6 +34,7 @@ from arrspec import (
     spectrum_from_setup,
 )
 from arrspec.fixtures import resolve_fixture
+from arrspec.linalg import EchelonBasis
 from test_quotient import braid, fraction_exp
 
 
@@ -271,6 +274,20 @@ def irreducible_closures(lattice):
     return out
 
 
+def pivot_projection(arr):
+    """The essentialization by coordinates: each normal keeps the pivot
+    coordinates of the normals' echelon basis, a projection that is one to
+    one on their span.  The oracle for `essentialization`, which relabels
+    the input's lattice instead."""
+    basis = EchelonBasis()
+    for h in arr.hyperplanes:
+        basis.insert({j: c for j, c in enumerate(h.normal) if c})
+    pivots = sorted(basis.rows)
+    return Arrangement(
+        len(pivots), [Hyperplane(tuple(h.normal[j] for j in pivots), h.mult) for h in arr.hyperplanes]
+    )
+
+
 @st.composite
 def non_essential_arrangements(draw):
     """Rank r in C^n, 2 <= r < n <= 5: normals drawn in C^r, extended by
@@ -315,7 +332,7 @@ def test_non_essential_cells_equal_the_direct_route(arr, kind, rng):
     # the core's lattice is the input's with every flat's dimension relabelled
     core = setup.building.lattice
     assert core.is_essential and setup.lift == lift
-    rebuilt = build_lattice(core.arrangement)
+    rebuilt = build_lattice(pivot_projection(arr))
     assert core.flats == rebuilt.flats and core.mobius == rebuilt.mobius
     assert core.masks == lattice.masks and core.mobius == lattice.mobius
     assert [(f.closure, f.codim) for f in core.flats] == [(f.closure, f.codim) for f in lattice.flats]
@@ -614,3 +631,24 @@ def test_every_cell_is_the_covector_dot_the_multiplicity_and_the_fraction_route(
                 top = setup.ch_todd(q) * twist
                 want = Fraction(top.num[-1], top.den) * (-1) ** (n - 1 + q)
                 assert cells.get((k, p), 0) == multiplicity(setup, k, p) == want, (k, p)
+
+
+def test_the_library_path_never_computes_mobius_values(monkeypatch):
+    # only the CLI's lattice dump and the Euler check read them
+    module = importlib.import_module("arrspec.spectrum")
+    setups, run = [], module.spectrum_from_setup
+    monkeypatch.setattr(module, "spectrum_from_setup", lambda s: setups.append(s) or run(s))
+    b1 = resolve_fixture("example-b1")
+    lifted = Arrangement.from_normals(4, [h.normal + (0,) for h in b1.hyperplanes])
+    for arr in (b1, lifted):
+        spectrum(arr)
+        setup = prepare(arr)
+        for k in range(1, arr.degree + 1):
+            for p in range(arr.n - (k == arr.degree)):
+                multiplicity(setup, k, p)
+        for s in (setups[-1], setup):
+            lattices = (s.lattice, s.building.lattice)
+            assert (lattices[0] is lattices[1]) == (arr is b1)
+            assert all("mobius" not in vars(lattice) for lattice in lattices)
+    # read on demand, the values are those of the lattice
+    assert setup.building.lattice.mobius == setup.lattice.mobius == build_lattice(b1).mobius
