@@ -21,7 +21,8 @@ from arrspec import (
 from arrspec.fixtures import resolve_fixture
 from arrspec.spectrum import beta
 
-setup = prepare(resolve_fixture("generic3d:6"))
+# the maximal building set: every line and the origin
+setup = prepare(resolve_fixture("generic3d:6"), "maximal")
 bs = setup.building
 print("building set size:", bs.size, " ambient dimension:", setup.n)
 

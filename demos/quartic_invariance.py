@@ -16,7 +16,8 @@ quartics = {
 
 results = {}
 for label, normals in quartics.items():
-    setup = prepare(Arrangement.from_normals(3, normals))
+    # the maximal building set, the model whose ranks the paper prints
+    setup = prepare(Arrangement.from_normals(3, normals), "maximal")
     lat = setup.lattice
     by_codim = {}
     for flat in lat.flats:

@@ -27,6 +27,7 @@ from .nested import (
     enumerate_nested,
     is_nested,
     maximal_building,
+    minimal_building,
 )
 from .ring import (
     GradedPoly,
@@ -82,6 +83,7 @@ __all__ = [
     "ideal_generators",
     "is_nested",
     "maximal_building",
+    "minimal_building",
     "multiplicity",
     "plane_curve_oracle",
     "prepare",

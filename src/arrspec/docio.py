@@ -19,7 +19,8 @@ from .spectrum import SpectrumResult
 @dataclass
 class InputDocument:
     arrangement: Arrangement
-    building_closures: list[list[int]] | None = None
+    # "maximal", "minimal" or closure sets, as `spectrum.choose_building` takes them
+    building_closures: list[list[int]] | str = "maximal"
 
 
 def _coeff(value, where: str) -> Fraction:
@@ -67,8 +68,8 @@ def parse_input(text: str) -> InputDocument:
     arrangement = Arrangement(n, hps)
 
     building = raw.get("building_set", "maximal")
-    if building == "maximal":
-        return InputDocument(arrangement)
+    if building in ("maximal", "minimal"):
+        return InputDocument(arrangement, building)
     return InputDocument(arrangement, parse_closure_sets(building, '"building_set"'))
 
 

@@ -6,6 +6,10 @@ The formal element is contained in every other element; for an essential
 arrangement it is identified with the origin flat, which therefore does
 not reappear at a positive index.
 
+`maximal_building` lists every proper flat, and `minimal_building` only
+the irreducible ones, read from the lattice by a fundamental-circuit test;
+`building_from_closures` takes a listed selection and checks the axiom.
+
 Element order is part of the data: index 0 first, then flats by ascending
 dimension with ties broken lexicographically on closures.  Polynomial
 variables downstream are numbered by this order.
@@ -35,13 +39,17 @@ class BuildingSet:
         "closures",
         "masks",
         "zero_flat_included",
-        "is_maximal",
+        "kind",
         "below",
         "_elem_of",
     )
 
-    def __init__(self, lattice: IntersectionLattice, indices) -> None:
-        """The building set of the proper flats at the given lattice indices."""
+    def __init__(self, lattice: IntersectionLattice, indices, kind: str = "custom") -> None:
+        """The building set of the proper flats at the given lattice indices.
+
+        `kind` names how they were chosen, "minimal" or "custom"; a set that
+        lists every proper flat is "maximal" whatever the choice.
+        """
         self.lattice = lattice
         chosen = set(indices)
         if not all(0 < i < len(lattice.flats) for i in chosen):
@@ -66,11 +74,15 @@ class BuildingSet:
         # lattice index -> element
         self._elem_of = {i: e for e, i in enumerate(order, start=1)} | dict.fromkeys(origin, 0)
         # every proper flat is listed, the origin as element 0
-        self.is_maximal = len(chosen) == len(lattice.flats) - 1
+        self.kind = "maximal" if len(chosen) == len(lattice.flats) - 1 else kind
 
     @property
     def n(self) -> int:
         return self.lattice.n
+
+    @property
+    def is_maximal(self) -> bool:
+        return self.kind == "maximal"
 
     @property
     def size(self) -> int:
@@ -111,13 +123,67 @@ class BuildingSet:
         return self._elem_of.get(i)
 
     def __repr__(self) -> str:
-        kind = "maximal" if self.is_maximal else "custom"
-        return f"BuildingSet({self.size} elements, {kind})"
+        return f"BuildingSet({self.size} elements, {self.kind})"
 
 
 def maximal_building(lattice: IntersectionLattice) -> BuildingSet:
     """Building set containing every proper flat."""
     return BuildingSet(lattice, range(1, len(lattice.flats)))
+
+
+def minimal_building(lattice: IntersectionLattice) -> BuildingSet:
+    """Building set of the irreducible flats, the smallest one.
+
+    A flat is irreducible when the hyperplanes through it form a connected
+    matroid, read from the lattice's masks and `join` alone.  A flat of
+    codimension 1 is irreducible, and one of codimension c >= 2 on
+    exactly c hyperplanes is their direct sum.  Otherwise a basis of its
+    hyperplanes is picked greedily; a hyperplane e outside the basis
+    shares its fundamental circuit with the basis hyperplane b exactly
+    when e does not lie on the join of the basis without b, and the flat
+    is irreducible when these circuits connect the basis (every e lies on
+    one of them).
+    """
+    flats, masks, join = lattice.flats, lattice.masks, lattice.join
+    chosen = []
+    for i in range(1, len(flats)):
+        m, c = masks[i], flats[i].codim
+        if c == 1 or m.bit_count() > c and _connected(m, c, masks, join):
+            chosen.append(i)
+    return BuildingSet(lattice, chosen, "minimal")
+
+
+def _connected(mask: int, codim: int, masks, join) -> bool:
+    """Whether the hyperplanes in `mask`, spanning a flat of codimension
+    `codim` >= 2, form a connected matroid: whether the fundamental circuits
+    of a basis join up all of its elements."""
+    basis = span = 0
+    rest = mask
+    while rest and basis.bit_count() < codim:
+        h = rest & -rest
+        rest ^= h
+        if not span & h:
+            basis |= h
+            span = masks[join(basis)]
+    # circuits[b]: the hyperplanes outside the basis whose circuit holds b
+    circuits = []
+    bits = basis
+    while bits:
+        b = bits & -bits
+        bits ^= b
+        circuits.append(mask & ~basis & ~masks[join(basis ^ b)])
+    reached, left = circuits[0], circuits[1:]
+    while left:
+        apart = []
+        for o in left:
+            if o & reached:
+                reached |= o
+            else:
+                apart.append(o)
+        if len(apart) == len(left):
+            return False
+        left = apart
+    return True
 
 
 def building_from_closures(lattice: IntersectionLattice, closure_sets) -> BuildingSet:

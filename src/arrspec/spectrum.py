@@ -10,6 +10,11 @@ per building-set element.  Each candidate exponent alpha = k/d + p with
 evaluated against the class of a point.  Nonzero multiplicities form the
 spectrum; every candidate is an exact integer, which is asserted.
 
+The formula holds on the wonderful model of any building set, and the
+setup uses the smallest, the irreducible flats, unless asked for the
+maximal set or a listed one: the ring, the nested sets and every class
+shrink with the set, and the spectrum does not change.
+
 The spectrum depends only on the lattice and the multiplicities, so an
 input of rank 2 <= r < n is computed on its essentialization in C^r,
 which has the same lattice and a ring of dimension r - 1 instead of
@@ -43,11 +48,12 @@ from .arrangement import (
     Arrangement,
     IntersectionLattice,
     StructureError,
+    ValidationError,
     build_lattice,
     essentialization,
 )
 from .chern import CharClasses, char_classes
-from .nested import BuildingSet, building_from_closures, maximal_building
+from .nested import BuildingSet, building_from_closures, maximal_building, minimal_building
 from .ring import GradedPoly, IdealPresentation, QuotientElement, ideal_generators
 
 
@@ -201,16 +207,30 @@ class SpectrumSetup:
         return got
 
 
-def choose_building(lattice: IntersectionLattice, building_closures) -> BuildingSet:
-    """The maximal building set, or the one the closure sets list, checked."""
-    if building_closures is None:
+def choose_building(lattice: IntersectionLattice, building_closures=None) -> BuildingSet:
+    """The building set that `building_closures` names.
+
+    None or "minimal" gives the irreducible flats, the smallest set and the
+    cheapest ring; "maximal" gives every proper flat; a list of closure
+    sets gives those flats, checked against the building-set axiom.  Any
+    building set gives a log resolution, and the spectrum is the same on
+    each (De Concini-Procesi 1995).
+    """
+    if building_closures is None or building_closures == "minimal":
+        return minimal_building(lattice)
+    if building_closures == "maximal":
         return maximal_building(lattice)
+    if isinstance(building_closures, str):
+        raise ValidationError(
+            f"building set {building_closures!r} is not minimal, maximal or a list of closure sets"
+        )
     return building_from_closures(lattice, building_closures)
 
 
 def prepare(arrangement: Arrangement, building_closures=None) -> SpectrumSetup:
-    """The setup of the arrangement's spectrum, with the maximal building set
-    or the one the closure sets list.
+    """The setup of the arrangement's spectrum, on the building set that
+    `choose_building` makes of `building_closures`: by default the minimal
+    one, else "maximal" or the listed closure sets.
 
     An input of rank 2 <= r < n is computed on its essentialization, which
     has the same lattice in C^r.  A single hyperplane (r = 1) keeps its own
@@ -292,5 +312,10 @@ def spectrum_from_setup(setup: SpectrumSetup) -> SpectrumResult:
 
 
 def spectrum(arrangement: Arrangement, building_closures=None) -> SpectrumResult:
-    """Hodge spectrum of the arrangement, sorted by exponent."""
+    """Hodge spectrum of the arrangement, sorted by exponent.
+
+    `building_closures` selects the building set as in `prepare`; the
+    default, the minimal set, is the cheapest, and every choice gives the
+    same spectrum.
+    """
     return spectrum_from_setup(prepare(arrangement, building_closures))

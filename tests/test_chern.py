@@ -84,8 +84,9 @@ def test_series_apply_matches_exp():
 
 
 THREE_LINES = prepare(Arrangement.from_normals(2, [(1, 0), (0, 1), (1, 1)]))
+# the paper's maximal model
 QUARTIC = prepare(
-    Arrangement.from_normals(3, [(1, -1, 0), (1, 1, 0), (1, 0, -1), (1, 0, 1)])
+    Arrangement.from_normals(3, [(1, -1, 0), (1, 1, 0), (1, 0, -1), (1, 0, 1)]), "maximal"
 )
 SINGLE = prepare(Arrangement.from_normals(3, [(1, 0, 0)]))
 

@@ -304,6 +304,48 @@ def test_pairing_matrices_are_poincare_dual(setups):
         assert_poincare_duality(ideal)
 
 
+def bareiss_det(matrix):
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss): every division is exact, so every entry stays an integer."""
+    a = [list(row) for row in matrix]
+    size, sign, prev = len(a), 1, 1
+    for k in range(size - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, size) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if size else 1
+
+
+def test_bareiss_det_known_values():
+    assert bareiss_det([]) == 1
+    assert bareiss_det([[5]]) == 5
+    assert bareiss_det([[0, 1], [1, 0]]) == -1
+    assert bareiss_det([[2, 3, 1], [4, 1, -3], [0, 5, 2]]) == 30
+    # a zero pivot is swapped away, which flips the sign
+    assert bareiss_det([[0, 2, 1], [1, 0, 3], [2, 1, 0]]) == 13
+    assert bareiss_det([[1, 2], [2, 4]]) == 0
+
+
+def test_pairing_is_unimodular(setups):
+    # integral Poincare duality: the resolution's cohomology is the FY ring
+    # over Z, so each degree-j block of the pairing has determinant +-1
+    cases = [(name, s.ideal) for name, s in setups.items()]
+    cases += [(name + " maximal", prepare(resolve_fixture(name), "maximal").ideal) for name in setups]
+    for n in (3, 4):
+        arr, _ = braid(n)
+        cases += [(f"braid A{n}", prepare(arr).ideal), (f"braid A{n} maximal", prepare(arr, "maximal").ideal)]
+    for name, ideal in cases:
+        for j in range(ideal.trunc + 1):
+            assert bareiss_det(pairing_matrix(ideal, j)) in (1, -1), (name, j)
+
+
 def test_corrupted_quotient_class_fails_the_cross_route_check(setups):
     setup = setups["example-b1"]
     result = spectrum_from_setup(setup)
@@ -325,7 +367,8 @@ def test_spectrum_does_not_depend_on_the_building_set(data):
     mults = data.draw(st.lists(st.integers(1, 3), min_size=count, max_size=count))
     weighted = Arrangement.from_normals(arr.n, [h.normal for h in arr.hyperplanes], mults)
     custom = draw_custom_closures(data, lattice)
-    assert spectrum(weighted).as_pairs() == spectrum(weighted, custom).as_pairs()
+    expected = spectrum(weighted, "maximal").as_pairs()
+    assert spectrum(weighted).as_pairs() == spectrum(weighted, custom).as_pairs() == expected
 
 
 def test_generators_are_never_built_on_the_spectrum_path(monkeypatch, capsys):
@@ -443,7 +486,7 @@ def fresh_ideals():
     """(name, ideal, quotient ranks) for the fixtures and braid A4 with both
     building sets, each ideal built here so that no other test has read it."""
     cases = [
-        (name, prepare(resolve_fixture(name)).ideal, ranks)
+        (name, prepare(resolve_fixture(name), "maximal").ideal, ranks)
         for name, ranks in FIXTURE_RANKS.items()
     ]
     maximal, minimal = braid_a4_ideals()
@@ -469,7 +512,7 @@ def test_dense_basis_is_built_on_first_access_in_the_dense_order():
 def test_the_spectrum_path_leaves_the_dense_basis_unbuilt():
     arr, closures = braid(4)
     inputs = [(name, resolve_fixture(name), None) for name in FIXTURE_RANKS]
-    inputs += [("braid A4", arr, None), ("braid A4 minimal", arr, closures)]
+    inputs += [("braid A4", arr, "maximal"), ("braid A4 minimal", arr, closures)]
     for name, arrangement, building in inputs:
         setup = prepare(arrangement, building)
         spectrum_from_setup(setup)
@@ -481,7 +524,7 @@ def test_the_table_is_filled_lazily_and_only_for_nested_pairs(setups):
     arr5, closures5 = braid(5)
     inputs = [(name, resolve_fixture(name), None) for name in setups]
     inputs += [
-        ("braid A4", arr4, None),
+        ("braid A4", arr4, "maximal"),
         ("braid A4 minimal", arr4, closures4),
         ("braid A5 minimal", arr5, closures5),
     ]

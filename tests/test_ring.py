@@ -104,8 +104,9 @@ def test_ring_mismatch_rejected():
 
 
 THREE_LINES = prepare(Arrangement.from_normals(2, [(1, 0), (0, 1), (1, 1)]))
+# the paper's maximal model, whose middle rank is 7
 QUARTIC = prepare(
-    Arrangement.from_normals(3, [(1, -1, 0), (1, 1, 0), (1, 0, -1), (1, 0, 1)])
+    Arrangement.from_normals(3, [(1, -1, 0), (1, 1, 0), (1, 0, -1), (1, 0, 1)]), "maximal"
 )
 
 

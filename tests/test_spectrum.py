@@ -23,7 +23,7 @@ from arrspec import (
     char_classes,
     euler_projective_complement,
     ideal_generators,
-    maximal_building,
+    minimal_building,
     multiplicity,
     plane_curve_oracle,
     prepare,
@@ -35,7 +35,9 @@ from arrspec import (
 )
 from arrspec.fixtures import resolve_fixture
 from arrspec.linalg import EchelonBasis
+from arrspec.spectrum import choose_building
 from test_quotient import braid, fraction_exp
+from test_ring import TERNARY
 
 
 def pairs(result):
@@ -248,10 +250,7 @@ def direct_setup(arr, closures=None):
     dimension n - 1 and every cell is paired there.  The oracle for
     `prepare`, which computes a non-essential input on its essentialization."""
     lattice = build_lattice(arr)
-    if closures is None:
-        bs = maximal_building(lattice)
-    else:
-        bs = building_from_closures(lattice, closures)
+    bs = choose_building(lattice, closures)
     ideal = ideal_generators(bs)
     return SpectrumSetup(arr, lattice, bs, ideal, char_classes(bs, ideal))
 
@@ -272,6 +271,90 @@ def irreducible_closures(lattice):
         ):
             out.append(list(flats[i].closure))
     return out
+
+
+def closures_of(bs):
+    """The closures of a building set's flats, the origin included when it
+    is the formal element 0, sorted."""
+    origin = [bs.lattice.flats[-1].closure] if bs.zero_flat_included else []
+    return sorted(map(list, [*bs.closures[1:], *origin]))
+
+
+def assert_minimal_is_the_irreducible_flats(lattice):
+    bs = minimal_building(lattice)
+    expected = irreducible_closures(lattice)
+    assert closures_of(bs) == sorted(expected)
+    assert bs.kind == ("maximal" if bs.is_maximal else "minimal")
+    # the selection passes the building-set axiom, element for element
+    checked = building_from_closures(lattice, expected)
+    assert (bs.masks, bs.dims, bs.below) == (checked.masks, checked.dims, checked.below)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_minimal_building_is_the_irreducible_flats(data):
+    n = data.draw(st.sampled_from([3, 4]))
+    normals = data.draw(st.lists(st.sampled_from(TERNARY[n]), min_size=1, max_size=7, unique=True))
+    assert_minimal_is_the_irreducible_flats(build_lattice(Arrangement.from_normals(n, normals)))
+
+
+def test_minimal_building_of_braid_is_the_one_block_partitions():
+    # the irreducible flats of braid A_n are the partitions of n + 1 points
+    # with one non-singleton block: 2^(n+1) - n - 2 of them
+    counts = []
+    for n in (3, 4, 5, 6):
+        arr, closures = braid(n)
+        lattice = build_lattice(arr)
+        found = closures_of(minimal_building(lattice))
+        assert found == sorted(closures) and len(found) == 2 ** (n + 1) - n - 2
+        counts.append(len(found))
+        if n < 6:
+            assert_minimal_is_the_irreducible_flats(lattice)
+    assert counts == [11, 26, 57, 120]
+
+
+# decomposable inputs, whose origin is the direct sum of smaller flats
+DECOMPOSABLE = {
+    "two lines in C^2": Arrangement.from_normals(2, [(1, 0), (0, 1)]),
+    "coordinate planes in C^3": Arrangement.from_normals(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    "a triple line and a plane": Arrangement.from_normals(
+        3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], [1, 2, 1, 3]
+    ),
+}
+
+
+def test_minimal_building_leaves_out_a_decomposable_origin():
+    for name, arr in DECOMPOSABLE.items():
+        lattice = build_lattice(arr)
+        bs = minimal_building(lattice)
+        assert not bs.zero_flat_included, name
+        assert closures_of(bs) == sorted(irreducible_closures(lattice)), name
+        assert bs.intersection_element(range(1, bs.size)) is None, name
+    assert minimal_building(build_lattice(DECOMPOSABLE["two lines in C^2"])).size == 3
+
+
+def test_default_spectrum_equals_the_maximal_one(setups, results):
+    # the library defaults to the minimal building set
+    for name, result in results.items():
+        bs = setups[name].building
+        assert bs.masks == minimal_building(bs.lattice).masks, name
+        assert result == spectrum(resolve_fixture(name), "maximal"), name
+    for name, arr in DECOMPOSABLE.items():
+        assert spectrum(arr) == spectrum(arr, "maximal"), name
+    for name in ("lines:2", "lines:5", "generic3d:7"):
+        arr = resolve_fixture(name)
+        assert spectrum(arr) == spectrum(arr, "maximal") == spectrum(arr, "minimal"), name
+
+
+def test_choose_building_names_the_kind():
+    lattice = build_lattice(resolve_fixture("example-b1"))
+    assert choose_building(lattice).kind == choose_building(lattice, "minimal").kind == "minimal"
+    assert choose_building(lattice, "maximal").kind == "maximal"
+    closures = irreducible_closures(lattice)
+    assert choose_building(lattice, closures).kind == "custom"
+    assert choose_building(lattice).masks == choose_building(lattice, closures).masks
+    with pytest.raises(ValidationError, match="'smallest'"):
+        choose_building(lattice, "smallest")
 
 
 def pivot_projection(arr):
@@ -310,12 +393,12 @@ def non_essential_arrangements(draw):
 
 
 @settings(max_examples=50, deadline=None)
-@given(non_essential_arrangements(), st.sampled_from(["maximal", "custom"]), st.randoms())
+@given(non_essential_arrangements(), st.sampled_from(["minimal", "maximal", "custom"]), st.randoms())
 def test_non_essential_cells_equal_the_direct_route(arr, kind, rng):
     lattice = build_lattice(arr)
     lift = arr.n - lattice.flats[-1].codim
     assert lift > 0
-    closures = None
+    closures = None if kind == "minimal" else kind
     if kind == "custom":
         # the irreducible flats plus a random choice of the others; a choice
         # that is not a building set is rejected alike by both routes
@@ -565,7 +648,8 @@ def test_generic_central_arrangements_match_the_closed_form(n, d):
     arr = Arrangement.from_normals(n, [tuple(t**j for j in range(n)) for t in range(1, d + 1)])
     assert budur_saito(d, []) == generic_central(3, d)
     minimal = [[i] for i in range(d)] + [list(range(d))]
-    for building in (None, minimal):
+    assert closures_of(minimal_building(build_lattice(arr))) == sorted(minimal)
+    for building in (None, "maximal"):
         got = {pt.alpha: pt.mult for pt in spectrum(arr, building).points}
         assert got == generic_central(n, d), building
     assert generic_central(2, d) == classical_plane_curve(d)
