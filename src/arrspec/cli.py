@@ -31,20 +31,20 @@ from .spectrum import choose_building, prepare, spectrum_from_setup
 
 def _load(args):
     """The arrangement, and its building set as `choose_building` takes it:
-    "maximal", "minimal" or closure sets.
+    "maximal" or closure sets.
 
-    `--building-set` decides when given: `maximal`, `minimal`, or a JSON
-    file of closure sets.  Without it the input document does, and a
-    fixture takes the maximal set.
+    `--building-set` decides when given: `maximal`, or a JSON file of
+    closure sets.  Without it the input document does, and a fixture or a
+    document that lists none takes the maximal set.
     """
-    arrangement, closures = resolve_fixture(args.source), "maximal"
+    arrangement, closures = resolve_fixture(args.source), None
     if arrangement is None:
         doc = load_input(args.source)
         arrangement, closures = doc.arrangement, doc.building_closures
     path = args.building_set
     if path is None:
-        return arrangement, closures
-    if path in ("maximal", "minimal"):
+        return arrangement, "maximal" if closures is None else closures
+    if path == "maximal":
         return arrangement, path
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -121,7 +121,8 @@ def _cmd_lattice(args) -> int:
     print("covers (flat > flat):")
     for i, j in lattice.covers():
         print(f"  [{i}] > [{j}]")
-    print(f"building set ({bs.size} elements, {bs.kind}):")
+    kind = "maximal" if bs.is_maximal else "custom"
+    print(f"building set ({bs.size} elements, {kind}):")
     for i in range(bs.size):
         what = "formal zero element" if i == 0 else bs.label(i)
         print(f"  c{i} = {what} (dim {bs.dims[i]}, codim {bs.codims[i]})")
@@ -172,9 +173,9 @@ def _parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--building-set",
-            metavar="maximal|minimal|FILE",
-            help="maximal, minimal, or a JSON file with explicit closure sets; without "
-            "it, the input document's building_set (maximal if it names none)",
+            metavar="maximal|FILE",
+            help="maximal, or a JSON file with explicit closure sets; without it, the "
+            "input document's building_set (maximal if it lists none)",
         )
 
     p_compute = sub.add_parser("compute", help="compute the Hodge spectrum")

@@ -19,8 +19,7 @@ from .spectrum import SpectrumResult
 @dataclass
 class InputDocument:
     arrangement: Arrangement
-    # "maximal", "minimal" or closure sets, as `spectrum.choose_building` takes them
-    building_closures: list[list[int]] | str = "maximal"
+    building_closures: list[list[int]] | None = None
 
 
 def _coeff(value, where: str) -> Fraction:
@@ -68,8 +67,8 @@ def parse_input(text: str) -> InputDocument:
     arrangement = Arrangement(n, hps)
 
     building = raw.get("building_set", "maximal")
-    if building in ("maximal", "minimal"):
-        return InputDocument(arrangement, building)
+    if building == "maximal":
+        return InputDocument(arrangement)
     return InputDocument(arrangement, parse_closure_sets(building, '"building_set"'))
 
 

@@ -39,17 +39,13 @@ class BuildingSet:
         "closures",
         "masks",
         "zero_flat_included",
-        "kind",
+        "is_maximal",
         "below",
         "_elem_of",
     )
 
-    def __init__(self, lattice: IntersectionLattice, indices, kind: str = "custom") -> None:
-        """The building set of the proper flats at the given lattice indices.
-
-        `kind` names how they were chosen, "minimal" or "custom"; a set that
-        lists every proper flat is "maximal" whatever the choice.
-        """
+    def __init__(self, lattice: IntersectionLattice, indices) -> None:
+        """The building set of the proper flats at the given lattice indices."""
         self.lattice = lattice
         chosen = set(indices)
         if not all(0 < i < len(lattice.flats) for i in chosen):
@@ -74,15 +70,11 @@ class BuildingSet:
         # lattice index -> element
         self._elem_of = {i: e for e, i in enumerate(order, start=1)} | dict.fromkeys(origin, 0)
         # every proper flat is listed, the origin as element 0
-        self.kind = "maximal" if len(chosen) == len(lattice.flats) - 1 else kind
+        self.is_maximal = len(chosen) == len(lattice.flats) - 1
 
     @property
     def n(self) -> int:
         return self.lattice.n
-
-    @property
-    def is_maximal(self) -> bool:
-        return self.kind == "maximal"
 
     @property
     def size(self) -> int:
@@ -123,7 +115,8 @@ class BuildingSet:
         return self._elem_of.get(i)
 
     def __repr__(self) -> str:
-        return f"BuildingSet({self.size} elements, {self.kind})"
+        kind = "maximal" if self.is_maximal else "custom"
+        return f"BuildingSet({self.size} elements, {kind})"
 
 
 def maximal_building(lattice: IntersectionLattice) -> BuildingSet:
@@ -150,7 +143,7 @@ def minimal_building(lattice: IntersectionLattice) -> BuildingSet:
         m, c = masks[i], flats[i].codim
         if c == 1 or m.bit_count() > c and _connected(m, c, masks, join):
             chosen.append(i)
-    return BuildingSet(lattice, chosen, "minimal")
+    return BuildingSet(lattice, chosen)
 
 
 def _connected(mask: int, codim: int, masks, join) -> bool:

@@ -48,7 +48,6 @@ from .arrangement import (
     Arrangement,
     IntersectionLattice,
     StructureError,
-    ValidationError,
     build_lattice,
     essentialization,
 )
@@ -210,20 +209,16 @@ class SpectrumSetup:
 def choose_building(lattice: IntersectionLattice, building_closures=None) -> BuildingSet:
     """The building set that `building_closures` names.
 
-    None or "minimal" gives the irreducible flats, the smallest set and the
-    cheapest ring; "maximal" gives every proper flat; a list of closure
-    sets gives those flats, checked against the building-set axiom.  Any
-    building set gives a log resolution, and the spectrum is the same on
-    each (De Concini-Procesi 1995).
+    None gives the irreducible flats, the smallest set and the cheapest
+    ring; "maximal" gives every proper flat; a list of closure sets gives
+    those flats, checked against the building-set axiom.  Any building set
+    gives a log resolution, and the spectrum is the same on each
+    (De Concini-Procesi 1995).
     """
-    if building_closures is None or building_closures == "minimal":
+    if building_closures is None:
         return minimal_building(lattice)
     if building_closures == "maximal":
         return maximal_building(lattice)
-    if isinstance(building_closures, str):
-        raise ValidationError(
-            f"building set {building_closures!r} is not minimal, maximal or a list of closure sets"
-        )
     return building_from_closures(lattice, building_closures)
 
 

@@ -217,29 +217,6 @@ def test_building_set_option_overrides_the_document(capsys, tmp_path):
     assert code == 0 and out == run(capsys, "compute", doc)[1]
 
 
-def test_minimal_building_set_option_and_document(capsys, tmp_path):
-    golden = Path(__file__).resolve().parent / "golden" / "cli"
-    minimal, custom = str(golden / "minimal-b1.json"), str(golden / "custom-b1.json")
-    _, out, _ = run(capsys, "lattice", minimal)
-    assert "building set (5 elements, minimal):" in out
-    code, out, _ = run(capsys, "lattice", "example-b1", "--building-set", "minimal")
-    assert code == 0 and "building set (5 elements, minimal):" in out
-    code, out, _ = run(capsys, "compute", "example-b1", "--building-set", "minimal")
-    assert code == 0 and out == run(capsys, "compute", custom)[1]
-    # the option overrides the document in both directions
-    code, out, _ = run(capsys, "compute", minimal, "--building-set", "maximal")
-    assert code == 0 and out == run(capsys, "compute", "example-b1")[1]
-    code, out, _ = run(capsys, "lattice", custom, "--building-set", "minimal")
-    assert code == 0 and "building set (5 elements, minimal):" in out
-    # with three lines the irreducible flats are every flat
-    _, out, _ = run(capsys, "lattice", "example-a", "--building-set", "minimal")
-    assert "building set (4 elements, maximal):" in out
-    path = tmp_path / "smallest.json"
-    path.write_text(json.dumps({"n": 2, "hyperplanes": [{"coeffs": [1, 0]}], "building_set": "smallest"}))
-    code, _, err = run(capsys, "compute", str(path))
-    assert code == 1 and "closure sets" in err
-
-
 def test_building_set_file_invalid(capsys, tmp_path):
     path = tmp_path / "building.json"
     path.write_text(json.dumps({"not": "a list"}))

@@ -6,10 +6,7 @@ JSON input documents in the same directory (braid A4 and a weighted
 rank-4 arrangement, both in C^4) pin degree-3 rings, a third
 (example-b1's planes with the building set of its irreducible flats) pins
 a custom building set, and a fourth (braid A3 in standard form, the six
-forms x_i - x_j in C^4) pins a non-essential input.  A fifth document,
-`minimal-b1.json`, names the minimal building set for example-b1's
-planes; those are the third's closures, so it prints the third's
-`compute`, `verify` and `lattice --json` files.  To record new
+forms x_i - x_j in C^4) pins a non-essential input.  To record new
 output after an intended change, run
 `PYTHONPATH=src python tests/test_cli_golden.py` and review the diff.
 """
@@ -36,9 +33,6 @@ FIXTURES = [
 ]
 # input documents, by file stem in GOLDEN
 DOCUMENTS = ["braid-a4", "weighted-c4", "custom-b1", "braid-a3-c4"]
-# documents that print another document's golden files: example-b1's planes
-# naming the minimal building set, whose flats are custom-b1's closures
-ALIASES = {"minimal-b1": "custom-b1"}
 # case name in the golden file name -> command line after the source
 COMMANDS = {
     "compute": ["compute", "--json"],
@@ -56,7 +50,7 @@ def _golden_path(fixture: str, case: str) -> Path:
 
 
 def _run(fixture: str, case: str) -> str:
-    source = str(GOLDEN / f"{fixture}.json") if fixture in DOCUMENTS or fixture in ALIASES else fixture
+    source = str(GOLDEN / f"{fixture}.json") if fixture in DOCUMENTS else fixture
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         command, *options = COMMANDS[case]
@@ -71,14 +65,6 @@ def test_every_golden_file_is_a_case():
 @pytest.mark.parametrize("fixture,case", CASES, ids=[f"{f}-{c}" for f, c in CASES])
 def test_cli_prints_its_golden_output(fixture, case):
     assert _run(fixture, case) == _golden_path(fixture, case).read_text(encoding="utf-8")
-
-
-ALIAS_CASES = [(d, c) for d in ALIASES for c in ("compute", "verify", "lattice")]
-
-
-@pytest.mark.parametrize("document,case", ALIAS_CASES, ids=[f"{d}-{c}" for d, c in ALIAS_CASES])
-def test_an_alias_prints_the_golden_output_of_its_document(document, case):
-    assert _run(document, case) == _golden_path(ALIASES[document], case).read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -511,7 +511,7 @@ def test_dense_basis_is_built_on_first_access_in_the_dense_order():
 
 def test_the_spectrum_path_leaves_the_dense_basis_unbuilt():
     arr, closures = braid(4)
-    inputs = [(name, resolve_fixture(name), None) for name in FIXTURE_RANKS]
+    inputs = [(f"{name} {b or 'default'}", resolve_fixture(name), b) for name in FIXTURE_RANKS for b in (None, "maximal")]
     inputs += [("braid A4", arr, "maximal"), ("braid A4 minimal", arr, closures)]
     for name, arrangement, building in inputs:
         setup = prepare(arrangement, building)
@@ -522,7 +522,7 @@ def test_the_spectrum_path_leaves_the_dense_basis_unbuilt():
 def test_the_table_is_filled_lazily_and_only_for_nested_pairs(setups):
     arr4, closures4 = braid(4)
     arr5, closures5 = braid(5)
-    inputs = [(name, resolve_fixture(name), None) for name in setups]
+    inputs = [(f"{name} {b or 'default'}", resolve_fixture(name), b) for name in setups for b in (None, "maximal")]
     inputs += [
         ("braid A4", arr4, "maximal"),
         ("braid A4 minimal", arr4, closures4),

@@ -23,6 +23,7 @@ from arrspec import (
     char_classes,
     euler_projective_complement,
     ideal_generators,
+    maximal_building,
     minimal_building,
     multiplicity,
     plane_curve_oracle,
@@ -284,7 +285,6 @@ def assert_minimal_is_the_irreducible_flats(lattice):
     bs = minimal_building(lattice)
     expected = irreducible_closures(lattice)
     assert closures_of(bs) == sorted(expected)
-    assert bs.kind == ("maximal" if bs.is_maximal else "minimal")
     # the selection passes the building-set axiom, element for element
     checked = building_from_closures(lattice, expected)
     assert (bs.masks, bs.dims, bs.below) == (checked.masks, checked.dims, checked.below)
@@ -343,18 +343,19 @@ def test_default_spectrum_equals_the_maximal_one(setups, results):
         assert spectrum(arr) == spectrum(arr, "maximal"), name
     for name in ("lines:2", "lines:5", "generic3d:7"):
         arr = resolve_fixture(name)
-        assert spectrum(arr) == spectrum(arr, "maximal") == spectrum(arr, "minimal"), name
+        assert spectrum(arr) == spectrum(arr, "maximal"), name
 
 
-def test_choose_building_names_the_kind():
+def test_choose_building_defaults_to_the_minimal_set():
     lattice = build_lattice(resolve_fixture("example-b1"))
-    assert choose_building(lattice).kind == choose_building(lattice, "minimal").kind == "minimal"
-    assert choose_building(lattice, "maximal").kind == "maximal"
     closures = irreducible_closures(lattice)
-    assert choose_building(lattice, closures).kind == "custom"
     assert choose_building(lattice).masks == choose_building(lattice, closures).masks
-    with pytest.raises(ValidationError, match="'smallest'"):
-        choose_building(lattice, "smallest")
+    assert not choose_building(lattice).is_maximal
+    assert choose_building(lattice, "maximal").masks == maximal_building(lattice).masks
+    assert choose_building(lattice, "maximal").is_maximal
+    # "maximal" is the only name; any other string is read as closure sets
+    with pytest.raises(ValidationError, match="hyperplane indices"):
+        choose_building(lattice, "minimal")
 
 
 def pivot_projection(arr):
