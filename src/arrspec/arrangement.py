@@ -11,18 +11,19 @@ it.  Two flats are then equal iff their closures are equal, and flat V
 is contained in flat W (as subspaces) iff closure(W) is a subset of
 closure(V).
 
-`build_lattice` walks the lattice upward one cover at a time.  Each flat
-of rank r keeps the echelon basis of its normals, each cleared to its
-primitive integer direction, so the elimination runs in integers.  A
-cover is that basis plus one more normal, and only hyperplanes outside
-every cover already found from it need a containment test, since two
-covers of a flat share only the flat's own hyperplanes.  A cover of rank
-n is the origin, which needs no elimination.  `IntersectionLattice(flats)`
-is the whole lattice, and every closure query is its cached `join`, a
-scan over the bitmasks of the flats on the query's lowest hyperplane: no
-elimination runs after `build_lattice`.  `essentialization` gives the
-same lattice for the arrangement's essentialization in C^r, r its rank,
-by relabelling each flat's dimension.
+`build_lattice` walks the lattice upward one rank at a time by
+restriction (Orlik-Terao, *Arrangements of Hyperplanes*, 1992, 1.3).
+Each flat X keeps, for every hyperplane not on X, that hyperplane's
+normal restricted to a basis of X as a primitive integer row, so the
+arithmetic runs in integers.  Hyperplanes with equal rows meet X in the
+same cover, so the covers are the groups of equal rows, and a cover's
+rows come from X's by clearing one coordinate with a cross-multiplication.
+A cover of rank n is the origin, which needs no rows.
+`IntersectionLattice(flats)` is the whole lattice, and every closure
+query is its cached `join`, a scan over the bitmasks of the flats on the
+query's lowest hyperplane.  `essentialization` gives the same lattice
+for the arrangement's essentialization in C^r, r its rank, by
+relabelling each flat's dimension.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-
-from .linalg import EchelonBasis
 
 
 class ValidationError(ValueError):
@@ -269,48 +268,63 @@ class IntersectionLattice:
 
 
 def build_lattice(arrangement: Arrangement) -> IntersectionLattice:
-    """Enumerate all flats of the arrangement."""
-    normals = [
-        {j: c for j, c in enumerate(_direction(h.normal)) if c} for h in arrangement.hyperplanes
-    ]
-    n, m = arrangement.n, len(normals)
+    """Enumerate all flats of the arrangement, rank by rank, by restriction.
 
+    A flat of rank r < n - 1 carries its rows, of length n - r, as a dict
+    from each distinct row to the hyperplanes that have it: one cover each.
+    """
+    n, m = arrangement.n, arrangement.size
     found: dict[tuple[int, ...], int] = {(): 0}
-    frontier = [((), EchelonBasis())]
-    while frontier:
+    # at the ambient space each row is the normal's direction; proportional
+    # normals are rejected by Arrangement, so every rank-1 group is one hyperplane
+    ambient = {_direction(h.normal): [j] for j, h in enumerate(arrangement.hyperplanes)}
+    frontier = [((), ambient)]
+    for rank in range(1, n):
         nxt = []
-        for cl, basis in frontier:
-            rank = basis.rank + 1
-            if rank == n:
-                # the one cover is the origin, which every hyperplane contains
-                if len(cl) < m:
-                    found.setdefault(tuple(range(m)), n)
-                continue
-            covered = set(cl)
-            for i in range(m):
-                if i in covered:
+        for cl, groups in frontier:
+            for row, group in groups.items():
+                closure = tuple(sorted((*cl, *group)))
+                if closure in found:
                     continue
-                cover = basis.copy()
-                cover.insert(normals[i])
-                if rank == 1:
-                    # proportional normals are rejected by Arrangement
-                    closure = (i,)
-                else:
-                    # every j < i outside the flat lies in an earlier cover
-                    extra = [
-                        j for j in range(i + 1, m)
-                        if j not in covered and cover.contains(normals[j])
-                    ]
-                    closure = tuple(sorted((*cl, i, *extra)))
-                covered.update(closure)
-                if closure not in found:
-                    found[closure] = rank
-                    nxt.append((closure, cover))
+                found[closure] = rank
+                if rank < n - 1:
+                    nxt.append((closure, _restrict(row, groups)))
+                elif len(closure) < m:
+                    # the one cover of a line is the origin, on every hyperplane
+                    found[tuple(range(m))] = n
         frontier = nxt
 
     flats = [Flat(cl, n - r, r) for cl, r in found.items()]
     flats.sort(key=lambda f: (f.codim, f.closure))
     return IntersectionLattice(flats)
+
+
+def _restrict(a: tuple[int, ...], groups) -> dict[tuple[int, ...], list[int]]:
+    """The grouped rows of the cover that row `a`, a key of `groups`, cuts out.
+
+    `groups` maps each row of a flat to its hyperplanes.  On the cover,
+    coordinate t0, a's first nonzero one, is solved for, so every other
+    row b becomes a[t0] * b - b[t0] * a with t0 dropped, made primitive
+    with its first nonzero entry positive.
+    """
+    t0 = next(t for t, c in enumerate(a) if c)
+    p = a[t0]
+    out: dict[tuple[int, ...], list[int]] = {}
+    for b, group in groups.items():
+        if b is a:
+            continue
+        f = b[t0]
+        if f:
+            v = [p * y - f * x for x, y in zip(a, b)]
+            del v[t0]
+            g = gcd(*v)
+            if next(c for c in v if c) < 0:
+                g = -g
+            row = tuple(v) if g == 1 else tuple(c // g for c in v)
+        else:
+            row = b[:t0] + b[t0 + 1 :]
+        out.setdefault(row, []).extend(group)
+    return out
 
 
 def essentialization(lattice: IntersectionLattice) -> IntersectionLattice:

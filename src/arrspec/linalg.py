@@ -1,5 +1,10 @@
 """Exact sparse linear algebra over the rationals, computed in integers.
 
+No module of the library imports this one, since `build_lattice` finds
+the flats by restriction.  It stays as the tests' independent
+elimination oracle: `brute_closure` in `test_arrangement` and the spans
+in `test_ring`, `test_quotient` and `test_spectrum`.
+
 Vectors are dicts mapping an integer coordinate to a nonzero rational, an
 int or a Fraction.  `EchelonBasis` keeps its rows fraction-free: each row
 is a primitive integer vector (the gcd of its entries is 1) whose pivot,
@@ -35,12 +40,6 @@ class EchelonBasis:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def copy(self) -> "EchelonBasis":
-        """An independent basis of the same span (rows are copied, not shared)."""
-        out = EchelonBasis()
-        out.rows = {p: dict(row) for p, row in self.rows.items()}
-        return out
 
     def _eliminate(self, vec: SparseVec) -> tuple[dict[int, int], int]:
         """An integer vector w and a scale s > 0 with w / s the normal form of `vec`."""

@@ -60,15 +60,20 @@ class BuildingSet:
         self.closures = (None,) + tuple(f.closure for f in self.flats)
         # closures as bitmasks; the formal zero element lies on every hyperplane
         self.masks = (lattice.masks[-1],) + tuple(lattice.masks[i] for i in order)
-        # below[v]: the elements strictly below v; a flat strictly below v has
-        # smaller dimension, so it comes earlier in the element order
-        self.below: tuple[frozenset[int], ...] = tuple(
-            frozenset(w for w in range(v) if not mv & ~self.masks[w])
-            for v, mv in enumerate(self.masks)
-        )
         self.zero_flat_included = bool(origin)
         # lattice index -> element
         self._elem_of = {i: e for e, i in enumerate(order, start=1)} | dict.fromkeys(origin, 0)
+        # below[v]: the elements strictly below v, 0 always among them; every
+        # other one is a flat on v's lowest hyperplane, read from the lattice
+        elem_of, masks, holding = self._elem_of, lattice.masks, lattice._holding
+        below = [frozenset()]
+        for i in order:
+            m = masks[i]
+            on_low = holding[(m & -m).bit_length() - 1]
+            below.append(frozenset(
+                {0, *(elem_of[j] for j in on_low if j != i and j in elem_of and not m & ~masks[j])}
+            ))
+        self.below: tuple[frozenset[int], ...] = tuple(below)
         # every proper flat is listed, the origin as element 0
         self.is_maximal = len(chosen) == len(lattice.flats) - 1
 

@@ -232,6 +232,31 @@ def ternary_arrangements(draw):
     return Arrangement.from_normals(n, normals)
 
 
+# small entries, zeros the likeliest, so that hyperplanes often meet in
+# degenerate flats; fractions and negative leading entries included
+ENTRIES = [0, 0, 0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]
+
+
+@st.composite
+def rational_arrangements(draw):
+    """Up to 8 hyperplanes in C^2-C^5; the normals span k <= n coordinates,
+    scattered by a permutation, so non-essential inputs are drawn too."""
+    n = draw(st.integers(2, 5))
+    k = n - draw(st.sampled_from([0, 0, 1, 2]))
+    vectors = st.tuples(*[st.sampled_from(ENTRIES)] * max(k, 1)).filter(any)
+    normals = draw(
+        st.lists(
+            vectors,
+            min_size=2,
+            max_size=8,
+            unique_by=lambda v: tuple(c / next(x for x in v if x) for c in v),
+        )
+    )
+    perm = draw(st.permutations(range(n)))
+    padded = [v + (0,) * (n - len(v)) for v in normals]
+    return Arrangement.from_normals(n, [tuple(v[p] for p in perm) for v in padded])
+
+
 def brute_closure(arr, indices):
     """Closure and rank of a set of hyperplanes from a fresh elimination."""
     vecs = [{j: c for j, c in enumerate(h.normal) if c} for h in arr.hyperplanes]
@@ -241,11 +266,12 @@ def brute_closure(arr, indices):
     return tuple(j for j, v in enumerate(vecs) if basis.contains(v)), basis.rank
 
 
-@settings(max_examples=40, deadline=None)
-@given(ternary_arrangements(), st.data())
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(ternary_arrangements(), rational_arrangements()), st.data())
 def test_lattice_matches_brute_force_closures(arr, data):
     # degenerate and non-essential inputs included; every flat is spanned by
-    # at most n of its hyperplanes
+    # at most n of its hyperplanes, and the elimination shares no code with
+    # the restriction that builds the lattice
     lat = build_lattice(arr)
     brute = {
         brute_closure(arr, sub)
@@ -320,3 +346,41 @@ def test_braid_lattices_are_their_flats():
 @given(st.one_of(small_arrangements(), ternary_arrangements()))
 def test_lattice_is_its_flats(arr):
     assert_lattice_is_its_flats(build_lattice(arr))
+
+
+def unit_vectors(n):
+    return [tuple(int(k == i) for k in range(n)) for i in range(n)]
+
+
+def signed_pairs(n):
+    """The normals e_i - e_j and e_i + e_j, i < j, of the Coxeter arrangement D_n."""
+    unit = unit_vectors(n)
+    return [
+        tuple(a + s * b for a, b in zip(unit[i], unit[j]))
+        for i, j in combinations(range(n), 2)
+        for s in (-1, 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, normals, exponents",
+    [
+        ("A4", [h.normal for h in braid(4)[0].hyperplanes], [1, 2, 3, 4]),
+        ("A5", [h.normal for h in braid(5)[0].hyperplanes], [1, 2, 3, 4, 5]),
+        ("B4", signed_pairs(4) + unit_vectors(4), [1, 3, 5, 7]),
+        ("D4", signed_pairs(4), [1, 3, 3, 5]),
+        ("D5", signed_pairs(5), [1, 3, 4, 5, 7]),
+    ],
+)
+def test_coxeter_characteristic_polynomials(name, normals, exponents):
+    # the characteristic polynomial sum mu(X) t^dim(X) of a reflection
+    # arrangement is the product of (t - e) over the group's exponents e
+    # (Orlik-Solomon 1980; Orlik-Terao 1992)
+    lat = build_lattice(Arrangement.from_normals(len(exponents), normals))
+    chi = [0] * (len(exponents) + 1)
+    for f, mu in zip(lat.flats, lat.mobius):
+        chi[f.dim] += mu
+    want = [1]  # coefficients from t^0 up
+    for e in exponents:
+        want = [a - e * b for a, b in zip([0, *want], [*want, 0])]
+    assert chi == want, name

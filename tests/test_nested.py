@@ -19,6 +19,7 @@ from arrspec import (
     ideal_generators,
     is_nested,
     maximal_building,
+    minimal_building,
     spectrum,
 )
 from arrspec.fixtures import resolve_fixture
@@ -169,6 +170,43 @@ def test_maximal_building_equals_the_checked_full_selection(data):
     assert_maximal_is_the_checked_full_selection(
         build_lattice(Arrangement.from_normals(n, data.draw(normals)))
     )
+
+
+def below_by_scan(bs):
+    """below[v] by definition: every earlier element whose mask holds v's."""
+    return tuple(
+        frozenset(w for w in range(v) if not mv & ~bs.masks[w]) for v, mv in enumerate(bs.masks)
+    )
+
+
+def test_below_equals_the_mask_scan():
+    names = ["example-a", "example-a-weighted", "example-b1", "example-b2", "lines:9"]
+    names += [f"generic3d:{m}" for m in (4, 5, 6)]
+    arrangements = [resolve_fixture(name) for name in names]
+    arrangements += [braid(n)[0] for n in (3, 4, 5)]
+    # braid A3 in C^4 has no origin, and two lines in C^2 leave it out of
+    # the minimal set: element 0 is then no flat of the set
+    a3 = braid(3)[0]
+    arrangements.append(Arrangement.from_normals(4, [h.normal + (0,) for h in a3.hyperplanes]))
+    arrangements.append(Arrangement.from_normals(2, [(1, 0), (0, 1)]))
+    for lattice in [THREE_LINES, QUARTIC, SINGLE] + [build_lattice(a) for a in arrangements]:
+        for bs in (maximal_building(lattice), minimal_building(lattice)):
+            assert bs.below == below_by_scan(bs), bs
+    custom = coordinate_c4()
+    assert custom.below == below_by_scan(custom)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_below_equals_the_mask_scan_on_custom_sets(data):
+    n = data.draw(st.sampled_from([3, 4]))
+    normals = st.lists(st.sampled_from(TERNARY[n]), min_size=1, max_size=7, unique=True)
+    lattice = build_lattice(Arrangement.from_normals(n, data.draw(normals)))
+    proper = [f.closure for f in lattice.flats if f.codim > 1]
+    chosen = data.draw(st.lists(st.sampled_from(proper), unique=True)) if proper else []
+    bs = building_from_closures(lattice, building_closure(lattice, chosen))
+    assert bs.below == below_by_scan(bs)
+    assert all(0 in bs.below[v] for v in range(1, bs.size))
 
 
 def test_building_set_takes_proper_flats_only():
