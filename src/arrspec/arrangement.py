@@ -276,8 +276,13 @@ def build_lattice(arrangement: Arrangement) -> IntersectionLattice:
     n, m = arrangement.n, arrangement.size
     found: dict[tuple[int, ...], int] = {(): 0}
     # at the ambient space each row is the normal's direction; proportional
-    # normals are rejected by Arrangement, so every rank-1 group is one hyperplane
-    ambient = {_direction(h.normal): [j] for j, h in enumerate(arrangement.hyperplanes)}
+    # normals are rejected by Arrangement, so every rank-1 group is one
+    # hyperplane.  In C^2 no rank-1 flat is restricted, so the rows are
+    # never read and each is keyed by its index instead.
+    if n == 2:
+        ambient = {j: [j] for j in range(m)}
+    else:
+        ambient = {_direction(h.normal): [j] for j, h in enumerate(arrangement.hyperplanes)}
     frontier = [((), ambient)]
     for rank in range(1, n):
         nxt = []

@@ -264,12 +264,15 @@ def enumerate_nested(bs: BuildingSet, max_size: int) -> list[frozenset[int]]:
     return [frozenset(s) for s in found]
 
 
-def _nested_sets(bs: BuildingSet, max_size: int):
-    """Every nested set of at most `max_size` positive elements, depth-first
-    from the empty set, as (bitmask, ascending elements, exponent bounds):
-    (v, d) for v in the set and the formal element 0, by decreasing
-    dimension and then ascending v, with d = dim(intersection of the set's
-    elements strictly above v) - dim(v) (Feichtner-Yuzvinsky).
+def _nested_sets(bs: BuildingSet, max_size: int, bound: int | None = None):
+    """Every nested set of at most `max_size` positive elements below
+    `bound` (all of them by default), depth-first from the empty set, as
+    (bitmask, ascending elements, exponent bounds): (v, d) for v in the set
+    and the formal element 0, by decreasing dimension and then ascending v,
+    with d = dim(intersection of the set's elements strictly above v) -
+    dim(v) (Feichtner-Yuzvinsky).  The elements ascend by dimension, so a
+    bound at the first hyperplane leaves out exactly the sets that hold
+    one, which the relation ideal never reads.
 
     A set grows by elements j past its largest, so none of it lies above
     j, and a branch dies at its first failed extension, since nestedness
@@ -283,7 +286,8 @@ def _nested_sets(bs: BuildingSet, max_size: int):
     that calls itself is a reference cycle, which would keep the whole
     lattice alive until the cyclic collector runs.)
     """
-    n, size, dims, masks = bs.n, bs.size, bs.dims, bs.masks
+    n, dims, masks = bs.n, bs.dims, bs.masks
+    size = bs.size if bound is None else bound
     join, dim_of = bs.lattice.join, [f.dim for f in bs.lattice.flats]
     below = [sum(1 << w for w in ws) for ws in bs.below]
     pairs: list[int | None] = [None] * size

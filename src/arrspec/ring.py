@@ -17,11 +17,14 @@ the presentation a monomial is sparse, its (variable, exponent) pairs
 ascending in the variable, so a rewriting step costs the size of its
 support, not the number of variables.  A monomial whose support is not
 nested is zero, and supports are int bitmasks, so that test is one
-lookup.  The product of two basis monomials is the normal form of their
-product; its coefficients are the ring's structure constants.  Only a
-pair whose supports unite to a nested set can have a nonzero product,
-so each basis monomial keeps one row, filled on first use, of such
-partners within the degree bound whose product is nonzero.
+lookup.  A hyperplane variable is minus the sum of the variables below
+it, so no standard monomial holds one, and the presentation keeps only
+the nested sets with no hyperplane.  The product of two basis monomials
+is the normal form of their product; its coefficients are the ring's
+structure constants.  Only a pair whose supports unite to a nested set
+can have a nonzero product, so each basis monomial keeps one row,
+filled on first use, of such partners within the degree bound whose
+product is nonzero.
 
 `QuotientElement` is an element of the quotient: one integer numerator
 per basis monomial over one common denominator.  Its products walk the
@@ -260,9 +263,13 @@ class IdealPresentation:
     standard monomials, those no leading term divides, are a basis of the
     quotient: the support (element 0 aside) is nested, and every exponent
     m_v, element 0 included, is below dim(intersection of the support
-    elements strictly above v) - dim(v).  The nested supports and these
-    bounds come from one pass (`nested._nested_sets`) into `_nested` and
-    `_limits`, both keyed by the support's bitmask.
+    elements strictly above v) - dim(v).  Nothing lies above a hyperplane
+    element v, so its bound is one: x_v = -(sum of x_u over u below v),
+    the relation of the empty set and v.  The nested supports with no
+    hyperplane, which the rewriting never leaves, and their bounds come
+    from one pass (`nested._nested_sets`) that stops at the hyperplanes,
+    last in the element order, into `_nested` and `_limits`, both keyed
+    by the support's bitmask.
 
     `basis` lists the standard monomials by degree, lexicographically
     largest first within a degree, and `quotient_ranks[j]` counts those of
@@ -272,18 +279,24 @@ class IdealPresentation:
     so c_0^(n-1) is always standard; `ideal_generators` checks that the
     top rank is one, so it is the last basis monomial and the only one of
     top degree.
-    `monomials[j]`, every degree-j monomial with nested support, is built
-    on first access; nothing on the spectrum path reads it.  The
+    `monomials[j]`, every degree-j monomial with nested support, hyperplanes
+    included, is built on first access from the full pass
+    (`enumerate_nested`); nothing on the spectrum path reads it.  The
     structure constants fill rows on first use (`_row`), so construction
     allocates nothing quadratic in the rank.
     """
 
     def __init__(self, building: BuildingSet) -> None:
         self.building = building
-        # nested set as a bitmask -> its elements, ascending, and its exponent bounds
+        # the hyperplane elements, of codimension 1, are the tail from this index
+        self._first_hyperplane = next(
+            (v for v in range(1, building.size) if building.codims[v] == 1), building.size
+        )
+        # nested set with no hyperplane, as a bitmask -> its elements, ascending,
+        # and its exponent bounds
         self._nested: dict[int, tuple[int, ...]] = {}
         self._limits: dict[int, tuple[tuple[int, int], ...]] = {}
-        for support, elems, limits in _nested_sets(building, self.trunc):
+        for support, elems, limits in _nested_sets(building, self.trunc, self._first_hyperplane):
             self._nested[support] = elems
             self._limits[support] = limits
         self._expansions: dict[tuple[int, int], tuple[tuple[Sparse, int, int], ...]] = {}
@@ -315,9 +328,17 @@ class IdealPresentation:
         self._table = [None] * len(self._standard)
         # variable -> its normal form, (index, integer) pairs; `linear` raises KeyError on others
         self._images: dict[int, tuple[tuple[int, int], ...]] = {}
-        for v in range(building.size):
+        first = self._first_hyperplane
+        for v in range(first):
             unit = ((v, 1),)
             self._images[v] = _integral(self._form(unit, _mask((v,))), unit)
+        # a hyperplane's relation: x_v = -(sum of x_u over the u below v)
+        for v in range(first, building.size):
+            image: dict[int, int] = {}
+            for u in sorted(building.below[v]):
+                for i, c in self._images[u]:
+                    image[i] = image.get(i, 0) - c
+            self._images[v] = tuple((i, c) for i, c in image.items() if c)
 
     @property
     def trunc(self) -> int:
@@ -336,9 +357,10 @@ class IdealPresentation:
 
     @cached_property
     def monomials(self) -> list[list[Monomial]]:
-        """Degree j -> the monomials with nested support, built on first access."""
-        nv = self.building.size
-        return [_nested_monomials(self._nested.values(), nv, j) for j in range(self.trunc + 1)]
+        """Degree j -> the monomials with nested support, hyperplanes
+        included, built on first access from the full nested-set pass."""
+        nv, nested = self.building.size, enumerate_nested(self.building, self.trunc)
+        return [_nested_monomials(nested, nv, j) for j in range(self.trunc + 1)]
 
     def covector(self, x: "QuotientElement") -> list[int]:
         """The integer row u over the whole basis with u[b] the point-class
@@ -448,18 +470,44 @@ class IdealPresentation:
         return got
 
     def _form(self, mono: Sparse, support: int) -> tuple[tuple[int, int], ...]:
-        """Normal form of one sparse monomial with the given support bitmask;
-        zero if the support is not nested.
-
-        Memoized for nested support only, so the memo holds no zeros of
-        that kind.
+        """Normal form of one sparse monomial with the given support bitmask:
+        zero if the support's part below the hyperplanes is not nested,
+        since a multiple of a non-nested monomial is zero; else rewritten,
+        or expanded by a hyperplane's relation if it has a hyperplane
+        variable.  Memoized except for those zeros.
         """
-        if support not in self._nested:
-            return ()
         got = self._forms.get(mono)
         if got is None:
-            got = self._forms[mono] = self._rewrite(mono, support)
+            low = support & ((1 << self._first_hyperplane) - 1)
+            if low not in self._nested:
+                return ()
+            got = self._forms[mono] = (
+                self._rewrite(mono, support) if low == support else self._substitute(mono, support)
+            )
         return got
+
+    def _substitute(self, mono: Sparse, support: int) -> tuple[tuple[int, int], ...]:
+        """Normal form of a monomial whose last variable x_v is a hyperplane's,
+        by x_v = -(sum of x_u over u below v) and each term's normal form.
+
+        Only the reference route (`element`) reaches such a monomial.  No
+        further nestedness test is needed: the relation holds in the ring,
+        so a monomial with non-nested support still comes out zero.
+        """
+        *rest, (v, e) = mono
+        if e > 1:
+            rest.append((v, e - 1))
+        else:
+            support &= ~(1 << v)
+        out: dict[int, int] = {}
+        for u in sorted(self.building.below[v]):
+            for i, c in self._form(_times(rest, ((u, 1),)), support | _mask((u,))):
+                nv = out.get(i, 0) - c
+                if nv:
+                    out[i] = nv
+                else:
+                    del out[i]
+        return tuple(out.items())
 
     def _rewrite(self, mono: Sparse, support: int) -> tuple[tuple[int, int], ...]:
         """Normal form of a monomial with nested support: itself if standard.

@@ -32,8 +32,8 @@ linear form in the ring's sparse kernel.  Both are cached on the
 variables' degree-one normal forms.  Each cell is then one integer dot
 product u . t over the two denominators, without forming the product of
 the two classes.  The shifts are computed in integers, once per k, and
-only for element 0 and the elements of codimension >= 2: a hyperplane
-element never shifts.
+only for element 0 and the elements of codimension >= 2, each from its
+hyperplanes counted by multiplicity: a hyperplane element never shifts.
 """
 
 from __future__ import annotations
@@ -162,34 +162,44 @@ class SpectrumSetup:
         return got
 
     @cached_property
-    def _twisted(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-        """(element, codimension, closure) for the elements of codimension >= 2.
+    def _twisted(self) -> tuple[tuple[int, ...], tuple[tuple[int, int, tuple[int, ...]], ...]]:
+        """The distinct multiplicities of the hyperplanes, ascending, and
+        (element, base, counts) for element 0 and the elements of
+        codimension >= 2: base is the codimension minus one, plus one for
+        element 0, and counts[i] is how many of the element's hyperplanes
+        have the i-th multiplicity.
 
         A hyperplane element's closure is its one hyperplane (proportional
         normals are rejected), so its residue sum r_i / d is below one and
         its twist coefficient is 1 - 0 - 1 = 0 for every k.
         """
-        bs = self.building
-        return tuple(
-            (v, bs.codims[v], bs.closures[v]) for v in range(1, bs.size) if bs.codims[v] > 1
-        )
+        bs, mults = self.building, [h.mult for h in self.arrangement.hyperplanes]
+        distinct = tuple(sorted(set(mults)))
+        rows = [(0, bs.n, tuple(map(mults.count, distinct)))]
+        # by ascending dimension, the hyperplane elements come last
+        for v, c in enumerate(bs.codims[1:], start=1):
+            if c == 1:
+                break
+            own = [mults[i] for i in bs.closures[v]]
+            rows.append((v, c - 1, tuple(map(own.count, distinct))))
+        return distinct, tuple(rows)
 
     def twist_key(self, k: int) -> tuple[int, ...]:
         """`a_coeff` of every element for the k-th eigenvalue, in integers.
 
-        With r_i = (-k * m_i) mod d, floor(s_v) is (sum of r_i over v) // d.
-        Only element 0 and the elements of codimension >= 2 are summed; the
-        hyperplane elements are zero.  Raises ValueError unless k is an int
-        in 1..degree.
+        With r_i = (-k * m_i) mod d, floor(s_v) is (sum of r_i over v) // d,
+        summed as count * r over the distinct multiplicities, not over the
+        hyperplanes.  Only element 0 and the elements of codimension >= 2
+        are summed; the hyperplane elements are zero.  Raises ValueError
+        unless k is an int in 1..degree.
         """
-        d, bs = self.degree, self.building
+        d = self.degree
         _check_index("eigenvalue index", k, 1, d)
-        r = [(-k * h.mult) % d for h in self.arrangement.hyperplanes]
-        get = r.__getitem__
-        key = [0] * bs.size
-        key[0] = bs.n - sum(r) // d
-        for v, c, cl in self._twisted:
-            key[v] = c - sum(map(get, cl)) // d - 1
+        mults, rows = self._twisted
+        r = [-k * m % d for m in mults]
+        key = [0] * self.building.size
+        for v, base, counts in rows:
+            key[v] = base - sum(map(mul, counts, r)) // d
         return tuple(key)
 
     def twist(self, k: int) -> QuotientElement:
@@ -201,7 +211,7 @@ class SpectrumSetup:
         got = self._twists.get(key)
         if got is None:
             # the hyperplane elements' coefficients are zero
-            coeffs = {0: key[0]} | {v: key[v] for v, _, _ in self._twisted}
+            coeffs = {v: key[v] for v, _, _ in self._twisted[1]}
             got = self._twists[key] = self.ideal.exp_linear(coeffs)
         return got
 

@@ -251,7 +251,9 @@ def test_enumerate_nested_tests_antichains_the_pairs_cannot_decide():
 
 def test_inherited_bounds_equal_the_bounds_from_scratch(setups):
     # the pass derives each nested set's exponent bounds from its parent's;
-    # here every bound is the intersection of the elements above v, from scratch
+    # here every bound is the intersection of the elements above v, from scratch.
+    # The ideal keeps only the nested sets with no hyperplane element, while
+    # enumerate_nested still lists every nested set
     buildings = [s.building for s in setups.values()] + [coordinate_c4()]
     for n in (3, 4, 5):
         arr, closures = braid(n)
@@ -260,8 +262,12 @@ def test_inherited_bounds_equal_the_bounds_from_scratch(setups):
     for bs in buildings:
         found = enumerate_nested(bs, bs.n - 1)
         assert found == sorted(found, key=lambda s: (len(s), sorted(s)))
+        hyperplanes = {v for v in range(1, bs.size) if bs.codims[v] == 1}
+        assert all(frozenset({v}) in found for v in hyperplanes)
+        free = [s for s in found if not s & hyperplanes]
+        assert len(free) < len(found)
         ideal = ideal_generators(bs)
-        assert set(ideal._nested) == set(ideal._limits) == {sum(1 << v for v in s) for s in found}
+        assert set(ideal._nested) == set(ideal._limits) == {sum(1 << v for v in s) for s in free}
         for mask, elems in ideal._nested.items():
             assert elems == tuple(v for v in range(1, bs.size) if mask >> v & 1)
             expected = tuple(

@@ -576,6 +576,56 @@ def test_irreducible_braid_ranks_are_keel_betti_numbers():
         assert ideal_generators(irreducible).quotient_ranks == keel_betti(n + 2)
 
 
+def assert_hyperplane_relations(ideal, rng):
+    """Each hyperplane variable is minus the sum of the variables below it,
+    through `linear` and through the reference route `element`, and its
+    products with random nested monomials agree with the quotient product;
+    the ideal keeps no nested set that holds a hyperplane."""
+    bs, trunc = ideal.building, ideal.trunc
+    nv = bs.size
+    hyperplanes = [v for v in range(1, nv) if bs.codims[v] == 1]
+    assert hyperplanes == list(range(hyperplanes[0], nv)), bs
+    assert not any(support >> hyperplanes[0] for support in ideal._nested), bs
+    # supports of degree below the top, so that x_v * m stays within the truncation
+    nested = enumerate_nested(bs, trunc - 1)
+    for v in hyperplanes:
+        x = GradedPoly.variable(v, nv, trunc)
+        image = ideal.linear({v: 1})
+        assert image == -ideal.linear(dict.fromkeys(bs.below[v], 1)) == ideal.element(x), (bs, v)
+        for support in rng.sample(nested, min(6, len(nested))):
+            # the support's variables, then random ones of it or 0 up to a random degree
+            extra = rng.randint(0, trunc - 1 - len(support))
+            factors = [*support, *rng.choices((0, *support), k=extra)]
+            m = tuple(factors.count(u) for u in range(nv))
+            mono = GradedPoly(nv, trunc, {m: 1})
+            assert ideal.element(x * mono) == image * ideal.element(mono), (bs, v, m)
+
+
+def test_hyperplane_relation_route_agrees_with_the_quotient(setups):
+    rng = random.Random(23)
+    buildings = []
+    for setup in setups.values():
+        buildings += [setup.building, maximal_building(setup.lattice)]
+    for n in (3, 4, 5):
+        arr, closures = braid(n)
+        lattice = build_lattice(arr)
+        buildings += [maximal_building(lattice), building_from_closures(lattice, closures)]
+    for bs in buildings:
+        assert_hyperplane_relations(ideal_generators(bs), rng)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_hyperplane_relation_route_on_random_building_sets(data):
+    n = data.draw(st.sampled_from([3, 4]))
+    normals = st.lists(st.sampled_from(TERNARY[n]), min_size=2, max_size=6, unique=True)
+    lattice = build_lattice(Arrangement.from_normals(n, data.draw(normals)))
+    proper = [f.closure for f in lattice.flats if f.codim > 1]
+    chosen = data.draw(st.lists(st.sampled_from(proper), unique=True)) if proper else []
+    bs = building_from_closures(lattice, building_closure(lattice, chosen))
+    assert_hyperplane_relations(ideal_generators(bs), random.Random(data.draw(st.integers(0, 99))))
+
+
 def test_boundary_points_are_the_point_class():
     # n - 1 nested divisors meet transversally in one point, and c_0^(n-1) is
     # (-1)^(n-1) times the point class; on braid A_n's irreducible flats the

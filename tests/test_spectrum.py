@@ -4,6 +4,7 @@ import importlib
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -34,11 +35,14 @@ from arrspec import (
     spectrum,
     spectrum_from_setup,
 )
+from arrspec.docio import load_input
 from arrspec.fixtures import resolve_fixture
 from arrspec.linalg import EchelonBasis
 from arrspec.spectrum import choose_building
 from test_quotient import braid, fraction_exp
 from test_ring import TERNARY
+
+GOLDEN_CLI = Path(__file__).resolve().parent / "golden" / "cli"
 
 
 def pairs(result):
@@ -551,16 +555,36 @@ def test_weighted_plane_arrangements_keep_euler_sums(lines, mults):
         assert sum(pt.mult for pt in result.points) == (d - 1) ** 2
 
 
+def assert_twist_keys_match_fraction_coefficients(setup):
+    bs = setup.building
+    for k in range(1, setup.degree + 1):
+        eig = beta(setup.arrangement, k)
+        want = tuple(a_coeff(bs, v, eig) for v in range(bs.size))
+        assert setup.twist_key(k) == want, (setup.arrangement, k)
+    for k in (0, setup.degree + 1):
+        with pytest.raises(ValueError):
+            setup.twist_key(k)
+
+
 def test_integer_twist_key_matches_fraction_coefficients(setups):
-    for name, setup in setups.items():
-        bs = setup.building
-        for k in range(1, setup.degree + 1):
-            eig = beta(setup.arrangement, k)
-            want = tuple(a_coeff(bs, v, eig) for v in range(bs.size))
-            assert setup.twist_key(k) == want, (name, k)
-        for k in (0, setup.degree + 1):
-            with pytest.raises(ValueError):
-                setup.twist_key(k)
+    # weighted-c4 has flats of codimension >= 2 on several hyperplanes of
+    # one multiplicity, so the keys sum counts above one
+    weighted = load_input(str(GOLDEN_CLI / "weighted-c4.json")).arrangement
+    cases = [*setups.values(), prepare(weighted), prepare(weighted, "maximal")]
+    _, rows = cases[-1]._twisted
+    assert any(c > 1 for _, _, counts in rows[1:] for c in counts)
+    for setup in cases:
+        assert_twist_keys_match_fraction_coefficients(setup)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_integer_twist_key_matches_fraction_coefficients_on_repeated_multiplicities(data):
+    # multiplicities 1..3 on 3 to 6 lines or planes in C^3, or 3 to 5
+    # hyperplanes in C^4, repeat on the flats of codimension >= 2
+    arr = data.draw(weighted_arrangements(most_mult=3, min_size=3))
+    for building in (None, "maximal"):
+        assert_twist_keys_match_fraction_coefficients(prepare(arr, building))
 
 
 def test_non_integral_multiplicity_raises_structure_error():
@@ -676,13 +700,13 @@ def test_reduced_planes_in_c3_match_budur_saito(normals):
 
 
 @st.composite
-def weighted_arrangements(draw):
+def weighted_arrangements(draw, most_mult=4, min_size=1):
     n = draw(st.sampled_from([2, 3, 4]))
     pool = [v for v in product((-1, 0, 1, 2), repeat=n) if any(v) and next(c for c in v if c) > 0]
     pool = [v for v in pool if gcd(*v) == 1]
     most = 6 if n < 4 else 5
-    normals = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=most, unique=True))
-    mults = draw(st.lists(st.integers(1, 4), min_size=len(normals), max_size=len(normals)))
+    normals = draw(st.lists(st.sampled_from(pool), min_size=min_size, max_size=most, unique=True))
+    mults = draw(st.lists(st.integers(1, most_mult), min_size=len(normals), max_size=len(normals)))
     return Arrangement.from_normals(n, normals, mults)
 
 
