@@ -4,13 +4,11 @@ In K-theory the tangent bundle of the resolution is a signed sum of line
 bundles, up to trivial summands.  `tangent_roots` lists their first Chern
 classes with multiplicities, the virtual Chern roots: n copies of -c_0,
 then for each further building-set element v of codimension r, -r copies
-of minus the sum of the variables strictly below v, one copy of c_v, and
-r copies of minus the sum of the variables weakly below v.  The dual of
-the sheaf of logarithmic one-forms has the same roots without the c_v:
-its power sums are computed first, and the tangent bundle's are those
-plus the power sums of the c_v.  In the quotient a root's powers stop at
-the first zero one (the r-th power of the sum of the variables weakly
-below v is zero), and a root that is zero adds nothing.
+of its strict root (minus the sum of the variables strictly below v), one
+copy of its unit root c_v, and r copies of its weak root (minus the sum of
+the variables weakly below v).  The dual of the sheaf of logarithmic
+one-forms has the same roots without the c_v.  In the quotient a root's
+powers stop at the first zero one (a weak root's r-th power is zero).
 
 Every class is read off the power sums P_k = sum of m * x^k over the
 roots (m, x).  A multiplicative class with series g is
@@ -21,20 +19,31 @@ powers of the dual log forms follow from the lambda-ring Newton identity
 
     lambda^p = (1/p) * sum_{j=1..p} (-1)^(j-1) psi^j * lambda^(p-j),
 
-where the Adams operation psi^j scales the degree-i part by j^i.
+where the Adams operation psi^j scales the degree-i part by j^i.  The
+series coefficients depend only on n - 1 and are computed once for each.
 
 Every root is an integer combination of the variables, handed to the
 ring as a sparse map {variable: coefficient} that names only the
-variables it uses: minus the variables of c_0, of the elements strictly
-below v or of those weakly below v, or c_v alone.  `char_classes` runs
+variables it uses: minus the variables of a set (c_0 alone, or the
+elements strictly or weakly below v), or c_v alone.  `char_classes` runs
 one body on either kind of element: free-ring `GradedPoly`s, or, given
 the relation ideal, `QuotientElement`s, whose products read the ideal's
-integer structure constants.  Only the power sums differ: the free
-ring's come from `_power_sums`, kept as the tests' reference, and the
-quotient's from `IdealPresentation.power_sums`, which takes the powers
-of each root's linear form from the ring's sparse kernel and adds them
-in integer numerators.  The total and log Chern classes are built from
-the stored power sums when first read; the spectrum reads neither.
+integer structure constants.  Only the power sums differ.  The free
+ring's come from `_power_sums` over `_dual_log_roots` and `_unit_roots`,
+kept as the tests' reference.  The quotient's come from one table
+(`_quotient_roots`) that keys each root by its set and gives it two
+multiplicities, dual log and tangent, and that drops what the quotient
+makes redundant.  Nothing lies above a hyperplane element v, so the
+Feichtner-Yuzvinsky relation x_v = -(sum of x_u over u below v) holds
+(Invent. Math. 155, 2004): v's weak root is zero and is never built, and
+its unit root c_v equals its strict root, so in the tangent it cancels
+the strict root's -1.  `IdealPresentation.power_sums` then takes one
+pass of the ring's sparse kernel per root class with a nonzero
+multiplicity and adds each power into both lists.  Hyperplanes with the
+same elements below share a class: in C^2 every strict root is -c_0, so
+there the kernel runs once, however many lines there are.  The total and
+log Chern classes are built from the stored power sums when first read;
+the spectrum reads neither.
 
 `ch_dual_exterior_roots` is kept as an independent route to the same
 Chern characters: it expands the exponential sums over formal roots,
@@ -46,6 +55,7 @@ computed once for each pair.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial, reduce
@@ -121,6 +131,33 @@ def _unit_roots(bs: BuildingSet, linear) -> list[tuple[int, Element]]:
     return [(1, linear({v: 1})) for v in range(1, bs.size)]
 
 
+def _quotient_roots(bs: BuildingSet) -> list[tuple[tuple[int, int], dict[int, int]]]:
+    """The dual log and tangent roots as they count in the quotient, in one
+    table of ((dual log, tangent) multiplicities, sparse map) pairs.
+
+    A hyperplane element v has no element above it, so its relation is
+    x_v = -(sum of x_u over u below v): its weak root is zero and is left
+    out, and its unit root c_v equals its strict root, so it is counted
+    under that key in the tangent, where it cancels the strict root's -1.
+    Only the elements of codimension 2 or more keep a unit root {v: 1}.
+    """
+    mults = {frozenset((0,)): [bs.n, bs.n]}
+    units = []
+    for v in range(1, bs.size):
+        r, strict = bs.codims[v], bs.below[v]
+        m = mults.setdefault(strict, [0, 0])
+        m[0] -= r
+        if r == 1:
+            continue
+        m[1] -= r
+        weak = mults.setdefault(strict | {v}, [0, 0])
+        weak[0] += r
+        weak[1] += r
+        units.append(v)
+    roots = [(tuple(m), dict.fromkeys(s, -1)) for s, m in mults.items()]
+    return roots + [((0, 1), {v: 1}) for v in units]
+
+
 def _power_sums(roots: list[tuple[int, Element]], trunc: int, zero: Element) -> list[Element]:
     """P_k = sum of m * x^k over the roots, for k = 0 .. trunc (P_0 is left zero).
 
@@ -138,13 +175,24 @@ def _power_sums(roots: list[tuple[int, Element]], trunc: int, zero: Element) -> 
     return sums
 
 
-def _root_sum(f: list[Fraction], sums: list[Element]) -> Element:
+def _root_sum(f: Sequence[Fraction], sums: list[Element]) -> Element:
     """Sum of m * f(x) over the roots behind the power sums, without f(0)."""
     return sum((ps * f[k] for k, ps in enumerate(sums) if k), sums[0])
 
 
-def _log_one_plus_x(trunc: int) -> list[Fraction]:
-    return series_log([_ONE, _ONE] + [_ZERO] * (trunc - 1))
+@cache
+def _log_one_plus_x(trunc: int) -> tuple[Fraction, ...]:
+    return tuple(series_log([_ONE, _ONE] + [_ZERO] * (trunc - 1)))
+
+
+@cache
+def _log_todd(trunc: int) -> tuple[Fraction, ...]:
+    return tuple(series_log(q_series(trunc)))
+
+
+@cache
+def _inverse_factorials(trunc: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(1, factorial(k)) for k in range(trunc + 1))
 
 
 @dataclass
@@ -178,17 +226,17 @@ def char_classes(bs: BuildingSet, ideal: IdealPresentation | None = None) -> Cha
     Free-ring `GradedPoly`s, or `QuotientElement`s in the quotient by `ideal`.
     """
     trunc = bs.n - 1
-    free = partial(GradedPoly.linear, nvars=bs.size, trunc=trunc)
-    roots = (_dual_log_roots, _unit_roots)
     if ideal is None:
-        dual_log, units = (_power_sums(r(bs, free), trunc, free({})) for r in roots)
+        free = partial(GradedPoly.linear, nvars=bs.size, trunc=trunc)
+        roots = (_dual_log_roots(bs, free), _unit_roots(bs, free))
+        dual_log, units = (_power_sums(r, trunc, free({})) for r in roots)
+        tangent = [a + b for a, b in zip(dual_log, units)]
     else:
-        dual_log, units = (ideal.power_sums(r(bs, dict)) for r in roots)
+        dual_log, tangent = ideal.power_sums(_quotient_roots(bs), 2)
     zero = dual_log[0]
-    tangent = [a + b for a, b in zip(dual_log, units)]
-    todd = _root_sum(series_log(q_series(trunc)), tangent).exp()
+    todd = _root_sum(_log_todd(trunc), tangent).exp()
 
-    ch = _root_sum([Fraction(1, factorial(k)) for k in range(bs.n)], dual_log) + trunc
+    ch = _root_sum(_inverse_factorials(trunc), dual_log) + trunc
     # lambda^p = (1/p) * sum_j (-1)^(j-1) * psi^j(ch) * lambda^(p-j)
     psi = [ch.adams(j) for j in range(bs.n)]
     dual_ch = [zero + 1]

@@ -33,14 +33,15 @@ product costs one multiply-add per structure constant, in integers; the
 exponential sums its powers over one denominator and reduces once.  The
 powers of a linear form (for the power sums of the Chern roots and the
 twists' exponentials) come from one sparse kernel on integer maps,
-`IdealPresentation._powers`.  The top-degree quotient has rank one,
-spanned by c_0^(n-1), which is (-1)^(n-1) times the class of a point, so
-the product of two basis monomials of complementary degree is zero or
-one multiple of it.  An element a pairs with b through its covector u,
-an integer row over the whole basis whose entry b is the point-class
-value of a times basis[b], summed from the tails of the rows
-(`IdealPresentation.covector`); the pairing is the dot product u . b
-over the two denominators.
+`IdealPresentation._powers`, which sums the form from the variables'
+degree-one images and never touches the whole rank.  The top-degree
+quotient has rank one, spanned by c_0^(n-1), which is (-1)^(n-1) times
+the class of a point, so the product of two basis monomials of
+complementary degree is zero or one multiple of it.  An element a pairs
+with b through its covector u, an integer row over the whole basis whose
+entry b is the point-class value of a times basis[b], summed from the
+tails of the rows (`IdealPresentation.covector`); the pairing is the dot
+product u . b over the two denominators.
 """
 
 from __future__ import annotations
@@ -400,14 +401,16 @@ class IdealPresentation:
                         out[k] += xy * c
         return out
 
-    def _powers(self, coeffs, m: int = 1):
-        """m * x^k for k = 1 .. n-1, x the class of the linear map `coeffs`,
-        each sparse {basis index: integer}, up to the first zero power: the
-        ring's one sparse kernel.  Each term of a power walks the degree-one
-        head of its row, so it meets the same nested pairs as `_product`."""
+    def _powers(self, coeffs):
+        """x^k for k = 1 .. n-1, x the class of the linear map `coeffs`, each
+        sparse {basis index: integer}, up to the first zero power: the ring's
+        one sparse kernel, run once per root class by `power_sums` and once
+        per distinct twist by `exp_linear`.  x itself is summed from the
+        variables' images (`_sparse`), so the kernel never touches the whole
+        rank.  Each term of a power walks the degree-one head of its row, so
+        it meets the same nested pairs as `_product`."""
         table, end = self._table, self._starts[2]
-        form = {i: c for i, c in enumerate(self.linear(coeffs).num) if c}
-        power = {i: m * c for i, c in form.items()}
+        form = power = self._sparse(coeffs)
         # the power of degree n - 1 is the last: no product is formed past it
         for _ in range(self.trunc - 1):
             if not power:
@@ -558,10 +561,17 @@ class IdealPresentation:
     def linear(self, coeffs) -> "QuotientElement":
         """The class of the sum of a * c_v over the items (v, a) of `coeffs`, a in the integers."""
         num = [0] * len(self._standard)
+        for i, c in self._sparse(coeffs).items():
+            num[i] = c
+        return QuotientElement(self, num)
+
+    def _sparse(self, coeffs) -> dict[int, int]:
+        """The numerators of `linear(coeffs)` as a sparse {basis index: integer}."""
+        form: dict[int, int] = {}
         for v, a in coeffs.items():
             for i, c in self._images[v]:
-                num[i] += a * c
-        return QuotientElement(self, num)
+                form[i] = form.get(i, 0) + a * c
+        return {i: c for i, c in form.items() if c}
 
     def exp_linear(self, coeffs) -> "QuotientElement":
         """`linear(coeffs).exp()`: the sum of (t!/j!) * x^j over the one
@@ -573,16 +583,30 @@ class IdealPresentation:
                 num[i] += total // factorial(j) * c
         return QuotientElement(self, num, total)
 
-    def power_sums(self, roots) -> list["QuotientElement"]:
-        """P_k = sum of m * x^k over the roots (m, coeffs), x the class of the
-        linear map `coeffs`, for k = 0 .. n-1 (P_0 is zero): the powers from
-        `_powers`, added up in integer numerators, one element per sum."""
-        sums = [[0] * len(self._standard) for _ in range(self.trunc + 1)]
-        for m, coeffs in roots:
-            for acc, power in zip(sums[1:], self._powers(coeffs, m)):
-                for i, c in power.items():
-                    acc[i] += c
-        return [QuotientElement(self, num) for num in sums]
+    def power_sums(self, roots, width: int) -> list[list["QuotientElement"]]:
+        """Power sums of `width` root lists that share their roots: for each
+        (mults, coeffs) in `roots`, x the class of the linear map `coeffs`
+        and mults a tuple of `width` integers, list j gets P_k = sum of
+        mults[j] * x^k for k = 0 .. n-1 (P_0 is zero).
+
+        One `_powers` pass per root with a nonzero multiplicity, its powers
+        added into every list in integer numerators, so the roots come
+        merged by class: `chern._quotient_roots` leaves out each hyperplane
+        element's weak root, zero by its relation, and counts its unit root
+        under its strict root, which it equals.
+        """
+        rank = len(self._standard)
+        sums = [[[0] * rank for _ in range(self.trunc + 1)] for _ in range(width)]
+        for mults, coeffs in roots:
+            counted = [(m, lists) for m, lists in zip(mults, sums) if m]
+            if not counted:
+                continue
+            for k, power in enumerate(self._powers(coeffs), start=1):
+                for m, lists in counted:
+                    acc = lists[k]
+                    for i, c in power.items():
+                        acc[i] += m * c
+        return [[QuotientElement(self, num) for num in lists] for lists in sums]
 
     def element(self, poly: GradedPoly) -> "QuotientElement":
         """The class of `poly` in the quotient."""

@@ -557,10 +557,79 @@ def test_sparse_kernel_routes_equal_the_dense_products(setups):
         zero = ideal.constant(0)
         for roots in (chern._dual_log_roots, chern._unit_roots):
             dense = chern._power_sums(roots(bs, ideal.linear), ideal.trunc, zero)
-            assert ideal.power_sums(roots(bs, dict)) == dense
+            [sums] = ideal.power_sums([((m,), coeffs) for m, coeffs in roots(bs, dict)], 1)
+            assert sums == dense
         for k in range(1, setup.degree + 1):
             x = ideal.linear(dict(enumerate(setup.twist_key(k))))
             assert setup.twist(k) == fraction_exp(x) == x.exp(), k
+
+
+def assert_merged_power_sums(bs):
+    """The quotient's dual log and tangent power sums, from the one merged
+    root table, equal the products over the unmerged roots, whose hyperplane
+    roots are all kept."""
+    ideal = ideal_generators(bs)
+    cl, zero = char_classes(bs, ideal), ideal.constant(0)
+    for sums, roots in ((cl.dual_log, chern._dual_log_roots), (cl.tangent, chern.tangent_roots)):
+        assert list(sums) == chern._power_sums(roots(bs, ideal.linear), ideal.trunc, zero), bs
+
+
+def test_merged_power_sums_equal_the_unmerged_roots(setups):
+    buildings = []
+    for setup in setups.values():
+        buildings += [setup.building, maximal_building(setup.lattice)]
+    for n in (3, 4, 5):
+        arr, closures = braid(n)
+        lattice = build_lattice(arr)
+        buildings += [maximal_building(lattice), building_from_closures(lattice, closures)]
+    for bs in buildings:
+        assert_merged_power_sums(bs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_merged_power_sums_on_random_building_sets(data):
+    _, lattice = draw_lattice(data, 6)
+    assert_merged_power_sums(building_from_closures(lattice, draw_custom_closures(data, lattice)))
+
+
+def root_classes(bs, ideal):
+    """The number of distinct nonzero classes among the unmerged dual log and
+    tangent roots that have a nonzero multiplicity in either bundle."""
+    mults = {}
+    for j, roots in enumerate((chern._dual_log_roots, chern.tangent_roots)):
+        for m, x in roots(bs, ideal.linear):
+            if x:
+                mults.setdefault(tuple(x.num), [0, 0])[j] += m
+    return sum(1 for m in mults.values() if any(m))
+
+
+def test_kernel_passes_do_not_grow_with_the_hyperplanes(monkeypatch):
+    calls = []
+    kernel = ring.IdealPresentation._powers
+
+    def counted(self, coeffs):
+        calls.append(coeffs)
+        return kernel(self, coeffs)
+
+    def passes(setup):
+        calls.clear()
+        monkeypatch.setattr(ring.IdealPresentation, "_powers", counted)
+        char_classes(setup.building, setup.ideal)
+        monkeypatch.undo()
+        return len(calls)
+
+    # in C^2 every hyperplane's roots vanish or cancel: only -c_0 is left
+    lines = [prepare(resolve_fixture(f"lines:{d}")) for d in (6, 24, 96)]
+    assert [passes(s) for s in lines] == [1, 1, 1]
+    assert all(root_classes(s.building, s.ideal) == 1 for s in lines)
+    for m in (4, 5, 7):
+        arr = resolve_fixture(f"generic3d:{m}")
+        for building in (None, "maximal"):
+            setup = prepare(arr, building)
+            assert passes(setup) == root_classes(setup.building, setup.ideal), (m, building)
+        # maximal: -c_0, each double line's weak root and c_v, each plane's strict root
+        assert passes(setup) == 1 + 2 * comb(m, 2) + m, m
 
 
 def test_irreducible_braid_ranks_are_keel_betti_numbers():
