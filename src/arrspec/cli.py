@@ -31,11 +31,11 @@ from .spectrum import choose_building, prepare, spectrum_from_setup
 
 def _load(args):
     """The arrangement, and its building set as `choose_building` takes it:
-    "maximal" or closure sets.
+    None for the minimal set, "maximal", or closure sets.
 
     `--building-set` decides when given: `maximal`, or a JSON file of
     closure sets.  Without it the input document does, and a fixture or a
-    document that lists none takes the maximal set.
+    document that names none takes the minimal set, as `prepare` does.
     """
     arrangement, closures = resolve_fixture(args.source), None
     if arrangement is None:
@@ -43,7 +43,7 @@ def _load(args):
         arrangement, closures = doc.arrangement, doc.building_closures
     path = args.building_set
     if path is None:
-        return arrangement, "maximal" if closures is None else closures
+        return arrangement, closures
     if path == "maximal":
         return arrangement, path
     try:
@@ -121,7 +121,7 @@ def _cmd_lattice(args) -> int:
     print("covers (flat > flat):")
     for i, j in lattice.covers():
         print(f"  [{i}] > [{j}]")
-    kind = "maximal" if bs.is_maximal else "custom"
+    kind = "maximal" if bs.is_maximal else "minimal" if closures is None else "custom"
     print(f"building set ({bs.size} elements, {kind}):")
     for i in range(bs.size):
         what = "formal zero element" if i == 0 else bs.label(i)
@@ -175,7 +175,7 @@ def _parser() -> argparse.ArgumentParser:
             "--building-set",
             metavar="maximal|FILE",
             help="maximal, or a JSON file with explicit closure sets; without it, the "
-            "input document's building_set (maximal if it lists none)",
+            "input document's building_set (the minimal set of irreducible flats if it names none)",
         )
 
     p_compute = sub.add_parser("compute", help="compute the Hodge spectrum")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Literal
 
 from .arrangement import Arrangement, Hyperplane, ValidationError, as_fraction
 from .checks import CheckResult
@@ -18,8 +19,12 @@ from .spectrum import SpectrumResult
 
 @dataclass
 class InputDocument:
+    """A parsed input document.  `building_closures` is its building set as
+    `choose_building` takes it: None when the document names none (the
+    minimal set), "maximal", or the listed closure sets."""
+
     arrangement: Arrangement
-    building_closures: list[list[int]] | None = None
+    building_closures: Literal["maximal"] | list[list[int]] | None = None
 
 
 def _coeff(value, where: str) -> Fraction:
@@ -32,6 +37,9 @@ def _coeff(value, where: str) -> Fraction:
 
 
 def parse_input(text: str) -> InputDocument:
+    """The document's arrangement and building set: no "building_set" key
+    gives None, "maximal" stays "maximal", and a list is checked to be
+    closure sets."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -66,9 +74,11 @@ def parse_input(text: str) -> InputDocument:
         hps.append(Hyperplane(normal, h.get("mult", 1)))
     arrangement = Arrangement(n, hps)
 
-    building = raw.get("building_set", "maximal")
-    if building == "maximal":
+    if "building_set" not in raw:
         return InputDocument(arrangement)
+    building = raw["building_set"]
+    if building == "maximal":
+        return InputDocument(arrangement, building)
     return InputDocument(arrangement, parse_closure_sets(building, '"building_set"'))
 
 

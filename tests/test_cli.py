@@ -7,10 +7,11 @@ import pytest
 
 import arrspec
 from arrspec.cli import main
-from arrspec.docio import parse_input, parse_output, render, result_to_dict
-from arrspec.spectrum import spectrum
+from arrspec.docio import load_input, parse_input, parse_output, render, result_to_dict
+from arrspec.spectrum import prepare, spectrum
 from arrspec.fixtures import FIXTURE_LIMITS, resolve_fixture
 from arrspec.arrangement import ValidationError
+from test_cli_golden import DOCUMENTS, FIXTURES, GOLDEN
 
 
 def run(capsys, *argv):
@@ -147,8 +148,11 @@ def test_lattice_text_dump(capsys):
     assert code == 0
     assert "flats (5):" in out
     assert "mobius +2" in out
+    # in C^2 the minimal and the maximal set coincide
     assert "building set (4 elements, maximal):" in out
     assert "euler characteristic of projectivized complement: -1" in out
+    code, out, _ = run(capsys, "lattice", "example-b1")
+    assert code == 0 and "building set (5 elements, minimal):" in out
 
 
 def test_lattice_json_dump(capsys):
@@ -170,7 +174,12 @@ def test_lattice_json_dump(capsys):
         if flats[i]["codim"] == 1 and flats[j]["codim"] == 2
     ]
     assert len(pairs) == 12
-    assert len(doc["building_set"]) == 11
+    # four generic planes: the origin splits as a product, so the default,
+    # minimal building set holds only the irreducible flats, the hyperplanes
+    assert [b["closure"] for b in doc["building_set"]] == [None, [0], [1], [2], [3]]
+    code, out, _ = run(capsys, "lattice", "example-b2", "--json", "--building-set", "maximal")
+    assert code == 0
+    assert len(json.loads(out)["building_set"]) == 11
 
 
 def test_verify_pass(capsys):
@@ -208,7 +217,10 @@ def test_building_set_option_overrides_the_document(capsys, tmp_path):
     code, out, _ = run(capsys, "lattice", doc, "--building-set", "maximal")
     assert code == 0 and "building set (11 elements, maximal):" in out
     code, out, _ = run(capsys, "compute", doc, "--building-set", "maximal")
-    assert code == 0 and out == run(capsys, "compute", "example-b1")[1]
+    assert code == 0
+    assert out == run(capsys, "compute", "example-b1", "--building-set", "maximal")[1]
+    # the document lists the irreducible flats, which the fixture takes by default
+    assert run(capsys, "compute", "example-b1")[1] == run(capsys, "compute", doc)[1]
     path = tmp_path / "building.json"
     path.write_text(json.dumps([[0], [1], [2], [3], [0, 1, 2, 3]]))
     code, out, _ = run(capsys, "lattice", "example-b1", "--building-set", str(path))
@@ -291,6 +303,38 @@ def test_input_roundtrip():
 
     again = parse_input(json.dumps(arrangement_to_dict(arr)))
     assert again.arrangement == arr
+
+
+def test_parse_input_keeps_the_building_set_as_named():
+    doc = {"n": 2, "hyperplanes": [{"coeffs": [1, 0]}, {"coeffs": [0, 1]}]}
+    assert parse_input(json.dumps(doc)).building_closures is None
+    doc["building_set"] = "maximal"
+    assert parse_input(json.dumps(doc)).building_closures == "maximal"
+    doc["building_set"] = [[0], [1], [0, 1]]
+    assert parse_input(json.dumps(doc)).building_closures == [[0], [1], [0, 1]]
+
+
+def _spectrum_and_ranks(out):
+    """The spectrum of `compute --json` and the ranks its detail names."""
+    doc = json.loads(out)
+    [detail] = [c["detail"] for c in doc["checks"] if c["name"] == "cohomology ranks"]
+    return doc["spectrum"], [int(r) for r in detail.split()[1].split(",")]
+
+
+@pytest.mark.parametrize("source", FIXTURES + DOCUMENTS)
+def test_cli_default_is_the_library_default(capsys, source):
+    if source in DOCUMENTS:
+        source = str(GOLDEN / f"{source}.json")
+        arr = load_input(source).arrangement
+    else:
+        arr = resolve_fixture(source)
+    expected = result_to_dict(spectrum(arr))["spectrum"]
+    code, out, _ = run(capsys, "compute", source)
+    assert code == 0
+    assert _spectrum_and_ranks(out) == (expected, prepare(arr).ideal.quotient_ranks)
+    code, out, _ = run(capsys, "compute", source, "--building-set", "maximal")
+    assert code == 0
+    assert _spectrum_and_ranks(out) == (expected, prepare(arr, "maximal").ideal.quotient_ranks)
 
 
 def test_parse_rejects_unknown_fields():

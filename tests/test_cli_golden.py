@@ -6,7 +6,10 @@ JSON input documents in the same directory (braid A4 and a weighted
 rank-4 arrangement, both in C^4) pin degree-3 rings, a third
 (example-b1's planes with the building set of its irreducible flats) pins
 a custom building set, and a fourth (braid A3 in standard form, the six
-forms x_i - x_j in C^4) pins a non-essential input.  To record new
+forms x_i - x_j in C^4) pins a non-essential input.  Without
+`--building-set` the CLI runs on the minimal building set; the
+`*-maximal` cases rerun three sources with `--building-set maximal`, so
+the maximal model stays pinned byte for byte as well.  To record new
 output after an intended change, run
 `PYTHONPATH=src python tests/test_cli_golden.py` and review the diff.
 """
@@ -40,9 +43,17 @@ COMMANDS = {
     "lattice": ["lattice", "--json"],
     "compute-text": ["compute", "--no-json"],
     "verify-json": ["verify", "--json"],
+    "compute-maximal": ["compute", "--json", "--building-set", "maximal"],
+    "verify-maximal": ["verify", "--building-set", "maximal"],
+    "lattice-maximal": ["lattice", "--json", "--building-set", "maximal"],
 }
 CASES = [(f, c) for f in FIXTURES + DOCUMENTS for c in ("compute", "verify", "lattice")]
 CASES += [("example-b1", "compute-text"), ("example-b1", "verify-json")]
+CASES += [
+    (f, c)
+    for f in ("example-b1", "generic3d:5", "braid-a4")
+    for c in ("compute-maximal", "verify-maximal", "lattice-maximal")
+]
 
 
 def _golden_path(fixture: str, case: str) -> Path:
