@@ -284,6 +284,8 @@ def build_lattice(arrangement: Arrangement) -> IntersectionLattice:
     else:
         ambient = {_direction(h.normal): [j] for j, h in enumerate(arrangement.hyperplanes)}
     frontier = [((), ambient)]
+    # whether some line is a proper flat, so that the origin is one too
+    origin = False
     for rank in range(1, n):
         nxt = []
         for cl, groups in frontier:
@@ -295,9 +297,11 @@ def build_lattice(arrangement: Arrangement) -> IntersectionLattice:
                 if rank < n - 1:
                     nxt.append((closure, _restrict(row, groups)))
                 elif len(closure) < m:
-                    # the one cover of a line is the origin, on every hyperplane
-                    found[tuple(range(m))] = n
+                    origin = True
         frontier = nxt
+    # the one cover of a line is the origin, on every hyperplane
+    if origin:
+        found[tuple(range(m))] = n
 
     flats = [Flat(cl, n - r, r) for cl, r in found.items()]
     flats.sort(key=lambda f: (f.codim, f.closure))

@@ -270,7 +270,11 @@ class IdealPresentation:
     hyperplane, which the rewriting never leaves, and their bounds come
     from one pass (`nested._nested_sets`) that stops at the hyperplanes,
     last in the element order, into `_nested` and `_limits`, both keyed
-    by the support's bitmask.
+    by the support's bitmask.  A variable's degree-one normal form
+    (`_images`) is computed at construction for the other elements, and
+    for a hyperplane only on first read (`_image`), as minus the sum of
+    the images below it: no root and no twist names a hyperplane
+    variable, so the spectrum path computes none.
 
     `basis` lists the standard monomials by degree, lexicographically
     largest first within a degree, and `quotient_ranks[j]` counts those of
@@ -327,19 +331,12 @@ class IdealPresentation:
         # i -> {partner j: structure constants of basis[i] * basis[j]}, filled by `_row`
         self._table: list[dict[int, tuple[tuple[int, int], ...]] | None]
         self._table = [None] * len(self._standard)
-        # variable -> its normal form, (index, integer) pairs; `linear` raises KeyError on others
+        # variable -> its normal form, (index, integer) pairs; a hyperplane's
+        # is added by `_image` on first read
         self._images: dict[int, tuple[tuple[int, int], ...]] = {}
-        first = self._first_hyperplane
-        for v in range(first):
+        for v in range(self._first_hyperplane):
             unit = ((v, 1),)
             self._images[v] = _integral(self._form(unit, _mask((v,))), unit)
-        # a hyperplane's relation: x_v = -(sum of x_u over the u below v)
-        for v in range(first, building.size):
-            image: dict[int, int] = {}
-            for u in sorted(building.below[v]):
-                for i, c in self._images[u]:
-                    image[i] = image.get(i, 0) - c
-            self._images[v] = tuple((i, c) for i, c in image.items() if c)
 
     @property
     def trunc(self) -> int:
@@ -568,10 +565,24 @@ class IdealPresentation:
     def _sparse(self, coeffs) -> dict[int, int]:
         """The numerators of `linear(coeffs)` as a sparse {basis index: integer}."""
         form: dict[int, int] = {}
+        images = self._images
         for v, a in coeffs.items():
-            for i, c in self._images[v]:
+            image = images.get(v)
+            for i, c in self._image(v) if image is None else image:
                 form[i] = form.get(i, 0) + a * c
         return {i: c for i, c in form.items() if c}
+
+    def _image(self, v: int) -> tuple[tuple[int, int], ...]:
+        """The normal form of a hyperplane variable, stored on first read:
+        x_v = -(sum of x_u over the u below v).  KeyError if v is not a variable."""
+        if v not in range(self._first_hyperplane, self.building.size):
+            raise KeyError(v)
+        image: dict[int, int] = {}
+        for u in sorted(self.building.below[v]):
+            for i, c in self._images[u]:
+                image[i] = image.get(i, 0) - c
+        got = self._images[v] = tuple((i, c) for i, c in image.items() if c)
+        return got
 
     def exp_linear(self, coeffs) -> "QuotientElement":
         """`linear(coeffs).exp()`: the sum of (t!/j!) * x^j over the one

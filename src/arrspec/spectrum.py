@@ -25,15 +25,16 @@ Every class is a `QuotientElement`, in the quotient ring over its
 standard-monomial basis.  The product ch * Todd is computed once per p
 and kept only as its pairing covector u, an integer row over the whole
 basis read from the ring's structure-constant rows, with the denominator
-alongside; the exponential of the divisor sum of shifts is computed once
-per distinct vector of shifts, in integers, from the powers of that
-linear form in the ring's sparse kernel.  Both are cached on the
-`SpectrumSetup`, and the divisor sum is an integer combination of the
-variables' degree-one normal forms.  Each cell is then one integer dot
-product u . t over the two denominators, without forming the product of
-the two classes.  The shifts are computed in integers, once per k, and
-only for element 0 and the elements of codimension >= 2, each from its
-hyperplanes counted by multiplicity: a hyperplane element never shifts.
+alongside.  A hyperplane element never shifts, so k enters the cells
+only through its twist class: the shifts at element 0 and at the
+elements of codimension >= 2, computed in integers from each element's
+hyperplanes counted by multiplicity.  The exponential of the divisor sum
+of shifts is computed once per class, in integers, from the powers of
+that linear form in the ring's sparse kernel; the covectors and the
+exponentials are cached on the `SpectrumSetup`.  Each cell is one
+integer dot product u . t over the two denominators, without forming
+the product of the two classes, and `spectrum_from_setup` takes it once
+per class and p, not once per k.
 """
 
 from __future__ import annotations
@@ -122,7 +123,8 @@ class SpectrumSetup:
     building: BuildingSet
     ideal: IdealPresentation
     quotient: CharClasses
-    # per-cell factors, filled on first use: q -> (covector, denominator)
+    # per-cell factors, filled on first use: q -> (covector, denominator),
+    # and twist class (`_shifts`) -> its exponential
     _covectors: dict[int, tuple[list[int], int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -184,35 +186,46 @@ class SpectrumSetup:
             rows.append((v, c - 1, tuple(map(own.count, distinct))))
         return distinct, tuple(rows)
 
-    def twist_key(self, k: int) -> tuple[int, ...]:
-        """`a_coeff` of every element for the k-th eigenvalue, in integers.
+    def _shifts(self, k: int) -> tuple[int, ...]:
+        """The twist class of the k-th eigenvalue: `a_coeff` of element 0 and
+        of each element of codimension >= 2, in the order of `_twisted`'s
+        rows, in integers; no range check.
 
         With r_i = (-k * m_i) mod d, floor(s_v) is (sum of r_i over v) // d,
         summed as count * r over the distinct multiplicities, not over the
-        hyperplanes.  Only element 0 and the elements of codimension >= 2
-        are summed; the hyperplane elements are zero.  Raises ValueError
-        unless k is an int in 1..degree.
+        hyperplanes.
         """
         d = self.degree
-        _check_index("eigenvalue index", k, 1, d)
         mults, rows = self._twisted
         r = [-k * m % d for m in mults]
+        return tuple([base - sum(map(mul, counts, r)) // d for _, base, counts in rows])
+
+    def twist_key(self, k: int) -> tuple[int, ...]:
+        """`a_coeff` of every element for the k-th eigenvalue, in integers:
+        the class `_shifts(k)` spread over the elements, with zero at every
+        hyperplane element.  Raises ValueError unless k is an int in 1..degree.
+        """
+        _check_index("eigenvalue index", k, 1, self.degree)
         key = [0] * self.building.size
-        for v, base, counts in rows:
-            key[v] = base - sum(map(mul, counts, r)) // d
+        for (v, _, _), a in zip(self._twisted[1], self._shifts(k)):
+            key[v] = a
         return tuple(key)
 
     def twist(self, k: int) -> QuotientElement:
-        """`twist_exp` of the k-th eigenvalue in the quotient, computed once per twist vector.
+        """`twist_exp` of the k-th eigenvalue in the quotient, computed once per twist class.
 
         Raises ValueError unless k is an int in 1..degree.
         """
-        key = self.twist_key(k)
-        got = self._twists.get(key)
+        _check_index("eigenvalue index", k, 1, self.degree)
+        return self._class_twist(self._shifts(k))
+
+    def _class_twist(self, shifts: tuple[int, ...]) -> QuotientElement:
+        """The exponential of the divisor sum with the class's shifts, cached by class."""
+        got = self._twists.get(shifts)
         if got is None:
             # the hyperplane elements' coefficients are zero
-            coeffs = {v: key[v] for v, _, _ in self._twisted[1]}
-            got = self._twists[key] = self.ideal.exp_linear(coeffs)
+            coeffs = {v: a for (v, _, _), a in zip(self._twisted[1], shifts)}
+            got = self._twists[shifts] = self.ideal.exp_linear(coeffs)
         return got
 
 
@@ -260,21 +273,27 @@ def multiplicity(setup: SpectrumSetup, k: int, p: int) -> int:
         raise ValueError("the exponent n is excluded from the spectrum")
     if p < setup.lift:
         return 0
-    return _pair_cell(setup, setup.twist(k), k, p)
+    return _cell(_factor(setup, p), setup.twist(k), k)
 
 
-def _pair_cell(setup: SpectrumSetup, twist: QuotientElement, k: int, p: int) -> int:
-    """The multiplicity of k/d + p, given the k-th twist; no range checks.
+def _factor(setup: SpectrumSetup, p: int) -> tuple[int, list[int], int, int]:
+    """(p, covector, denominator, sign) of the cells at p >= lift.
 
-    One dot product of the cached covector of ch * Todd with the twist.
     The ring's degree q = n - 1 - p is the same for the input and its
     essentialization, where the cell is the core cell at p - lift, signed
-    by (-1)^lift; p >= lift.
+    by (-1)^lift.
     """
     q = setup.n - 1 - p
-    u, den = setup.covector(q)
+    return (p, *setup.covector(q), (-1) ** (q + setup.lift))
+
+
+def _cell(factor: tuple[int, list[int], int, int], twist: QuotientElement, k: int) -> int:
+    """The multiplicity of k/d + p, given the factor at p and the k-th twist:
+    one dot product of the covector of ch * Todd with the twist, checked to
+    be an exact integer."""
+    p, u, den, sign = factor
     den *= twist.den
-    total = sum(map(mul, u, twist.num)) * (-1) ** (q + setup.lift)
+    total = sum(map(mul, u, twist.num)) * sign
     if total % den:
         raise StructureError(
             f"non-integral multiplicity {Fraction(total, den)} at k={k}, p={p}"
@@ -305,13 +324,25 @@ class SpectrumResult:
 
 def spectrum_from_setup(setup: SpectrumSetup) -> SpectrumResult:
     n, d = setup.n, setup.degree
-    twists = [setup.twist(k) for k in range(1, d + 1)]
+    # every cell with p < lift is zero
+    factors = [_factor(setup, p) for p in range(setup.lift, n)]
+    # twist class -> its row of cells, one per factor; cells[k - 1] is k's
+    # row.  The exponent n (k = d, p = n - 1) is excluded, and k = d comes
+    # last, so its class's row stops short of it unless an earlier k shares it
+    rows: dict[tuple[int, ...], list[int]] = {}
+    cells = []
+    for k in range(1, d + 1):
+        shifts = setup._shifts(k)
+        row = rows.get(shifts)
+        if row is None:
+            twist = setup._class_twist(shifts)
+            row = rows[shifts] = [_cell(f, twist, k) for f in factors[: len(factors) - (k == d)]]
+        cells.append(row)
+    # by ascending exponent k/d + p
     points = []
-    # by ascending exponent k/d + p; the exponent n (k = d, p = n - 1) is
-    # excluded, and every cell with p < lift is zero
-    for p in range(setup.lift, n):
-        for k, twist in enumerate(twists[: d - (p == n - 1)], start=1):
-            if m := _pair_cell(setup, twist, k, p):
+    for i, p in enumerate(range(setup.lift, n)):
+        for k, row in enumerate(cells[: d - (p == n - 1)], start=1):
+            if m := row[i]:
                 points.append(SpectralPoint(Fraction(k + p * d, d), m, k, p))
     return SpectrumResult(d, tuple(points))
 

@@ -6,7 +6,9 @@ JSON input documents in the same directory (braid A4 and a weighted
 rank-4 arrangement, both in C^4) pin degree-3 rings, a third
 (example-b1's planes with the building set of its irreducible flats) pins
 a custom building set, and a fourth (braid A3 in standard form, the six
-forms x_i - x_j in C^4) pins a non-essential input.  Without
+forms x_i - x_j in C^4) pins a non-essential input, and a fifth (ten
+lines in C^2 with multiplicities 1-3, degree 19) pins eigenvalues that
+share their twist.  Without
 `--building-set` the CLI runs on the minimal building set; the
 `*-maximal` cases rerun three sources with `--building-set maximal`, so
 the maximal model stays pinned byte for byte as well.  To record new
@@ -35,7 +37,7 @@ FIXTURES = [
     "generic3d:5",
 ]
 # input documents, by file stem in GOLDEN
-DOCUMENTS = ["braid-a4", "weighted-c4", "custom-b1", "braid-a3-c4"]
+DOCUMENTS = ["braid-a4", "weighted-c4", "custom-b1", "braid-a3-c4", "weighted-lines-c2"]
 # case name in the golden file name -> command line after the source
 COMMANDS = {
     "compute": ["compute", "--json"],

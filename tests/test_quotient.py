@@ -695,6 +695,30 @@ def test_hyperplane_relation_route_on_random_building_sets(data):
     assert_hyperplane_relations(ideal_generators(bs), random.Random(data.draw(st.integers(0, 99))))
 
 
+def test_hyperplane_images_are_computed_on_first_read():
+    # no root and no twist names a hyperplane variable, so the spectrum
+    # leaves their images unbuilt; `linear` builds one when asked
+    names = ["lines:9", "example-b1", "generic3d:5"]
+    cases = [(resolve_fixture(name), building) for name in names for building in (None, "maximal")]
+    for arr, building in cases + [braid(4)]:
+        setup = prepare(arr, building)
+        spectrum_from_setup(setup)
+        ideal, bs = setup.ideal, setup.building
+        first = ideal._first_hyperplane
+        assert first < bs.size and not any(v >= first for v in ideal._images), (arr, building)
+        for v in range(first, bs.size):
+            below = [ideal.linear({u: 1}) for u in sorted(bs.below[v])]
+            assert ideal.linear({v: 1}) == -sum(below, ideal.constant(0)), (arr, v)
+            assert v in ideal._images
+        for bad in ({bs.size: 1}, {-1: 1}, {"c0": 1}, {0.5: 1}):
+            with pytest.raises(KeyError):
+                ideal.linear(bad)
+    # a stored empty image is an image, not a missing one
+    ideal = prepare(resolve_fixture("lines:3")).ideal
+    ideal._images[ideal._first_hyperplane] = ()
+    assert ideal.linear({ideal._first_hyperplane: 1}) == ideal.constant(0)
+
+
 def test_boundary_points_are_the_point_class():
     # n - 1 nested divisors meet transversally in one point, and c_0^(n-1) is
     # (-1)^(n-1) times the point class; on braid A_n's irreducible flats the

@@ -14,6 +14,7 @@ from arrspec import (
     Arrangement,
     GradedPoly,
     Hyperplane,
+    IdealPresentation,
     SpectrumSetup,
     StructureError,
     ValidationError,
@@ -596,6 +597,48 @@ def test_non_integral_multiplicity_raises_structure_error():
     setup._covectors[q] = (u, 2 * den)
     with pytest.raises(StructureError):
         multiplicity(setup, 2, 0)
+
+
+def test_spectrum_from_setup_keeps_the_integrality_check():
+    # its class rows take the same checked dot product as `multiplicity`;
+    # the exponent 2/3 (k = 2, p = 0) has multiplicity 1, so halving breaks it
+    setup = prepare(resolve_fixture("example-a"))
+    q = setup.n - 1
+    u, den = setup.covector(q)
+    setup._covectors[q] = (u, 2 * den)
+    with pytest.raises(StructureError):
+        spectrum_from_setup(setup)
+
+
+def test_spectrum_takes_one_exponential_per_twist_class(setups, monkeypatch):
+    # and pairs it once with each covector, leaving out the exponent n
+    module = importlib.import_module("arrspec.spectrum")
+    calls, cells = [], []
+    exp_linear, cell = IdealPresentation.exp_linear, module._cell
+
+    def counted(ideal, coeffs):
+        calls.append(coeffs)
+        return exp_linear(ideal, coeffs)
+
+    monkeypatch.setattr(IdealPresentation, "exp_linear", counted)
+    monkeypatch.setattr(module, "_cell", lambda *args: cells.append(args) or cell(*args))
+    # braid-a3-c4 is computed on its essentialization, with no cells at p = 0
+    stems = ("weighted-c4", "braid-a3-c4", "weighted-lines-c2")
+    documents = [load_input(str(GOLDEN_CLI / f"{stem}.json")).arrangement for stem in stems]
+    for arr in [s.arrangement for s in setups.values()] + documents:
+        for building in (None, "maximal"):
+            setup = prepare(arr, building)
+            d = setup.degree
+            keys = [setup.twist_key(k) for k in range(1, d + 1)]
+            classes = len(set(keys))
+            calls.clear()
+            cells.clear()
+            spectrum_from_setup(setup)
+            assert len(calls) == classes, (arr, building)
+            alone = keys[-1] not in keys[:-1]
+            assert len(cells) == classes * (setup.n - setup.lift) - alone, (arr, building)
+    # the ten weighted lines, of degree 19, share twists between eigenvalues
+    assert classes < d == 19
 
 
 def projective_betti(lattice):
