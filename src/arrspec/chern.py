@@ -232,7 +232,7 @@ def char_classes(bs: BuildingSet, ideal: IdealPresentation | None = None) -> Cha
         dual_log, units = (_power_sums(r, trunc, free({})) for r in roots)
         tangent = [a + b for a, b in zip(dual_log, units)]
     else:
-        dual_log, tangent = ideal.power_sums(_quotient_roots(bs), 2)
+        dual_log, tangent = ideal.power_sums(_quotient_roots(bs))
     zero = dual_log[0]
     todd = _root_sum(_log_todd(trunc), tangent).exp()
 

@@ -12,7 +12,6 @@ verification check), 2 structural or internal error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 
@@ -24,7 +23,7 @@ from .arrangement import (
     euler_projective_complement,
 )
 from .checks import run_checks
-from .docio import load_input, parse_closure_sets, render, result_to_dict
+from .docio import load_input, parse_closure_sets, read_json, render, result_to_dict
 from .fixtures import fixture_names, resolve_fixture
 from .spectrum import choose_building, prepare, spectrum_from_setup
 
@@ -46,16 +45,7 @@ def _load(args):
         return arrangement, closures
     if path == "maximal":
         return arrangement, path
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno})"
-        ) from None
-    return arrangement, parse_closure_sets(raw, path)
+    return arrangement, parse_closure_sets(read_json(path), path)
 
 
 def _cmd_compute(args) -> int:

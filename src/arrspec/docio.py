@@ -40,10 +40,11 @@ def parse_input(text: str) -> InputDocument:
     """The document's arrangement and building set: no "building_set" key
     gives None, "maximal" stays "maximal", and a list is checked to be
     closure sets."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}") from None
+    return _document(_decode(text))
+
+
+def _document(raw) -> InputDocument:
+    """The input document in the decoded JSON value `raw`."""
     if not isinstance(raw, dict):
         raise ValidationError("input document must be a JSON object")
     unknown = set(raw) - {"n", "hyperplanes", "building_set"}
@@ -97,12 +98,27 @@ def parse_closure_sets(raw, where: str) -> list[list[int]]:
 
 
 def load_input(path: str) -> InputDocument:
+    return _document(read_json(path))
+
+
+def read_json(path: str):
+    """The JSON value in the file at `path`, the package's one file reader;
+    a `ValidationError` names the file if it cannot be read or decoded."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
-    return parse_input(text)
+    return _decode(text, f"{path}: ")
+
+
+def _decode(text: str, where: str = ""):
+    """The JSON value in `text`; an error names `where`, the position and the parser's reason."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        at = f"line {exc.lineno}, column {exc.colno}"
+        raise ValidationError(f"{where}not valid JSON ({at}): {exc.msg}") from None
 
 
 def arrangement_to_dict(arrangement: Arrangement) -> dict:

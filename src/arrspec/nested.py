@@ -29,7 +29,8 @@ from .arrangement import Flat, IntersectionLattice, StructureError, ValidationEr
 
 
 class BuildingSet:
-    """Ordered building set: formal zero element plus selected proper flats."""
+    """Ordered building set: formal zero element plus selected proper flats,
+    the hyperplanes last, from `first_hyperplane` (`size` if there are none)."""
 
     __slots__ = (
         "lattice",
@@ -40,6 +41,7 @@ class BuildingSet:
         "masks",
         "zero_flat_included",
         "is_maximal",
+        "first_hyperplane",
         "below",
         "_elem_of",
     )
@@ -61,6 +63,7 @@ class BuildingSet:
         # closures as bitmasks; the formal zero element lies on every hyperplane
         self.masks = (lattice.masks[-1],) + tuple(lattice.masks[i] for i in order)
         self.zero_flat_included = bool(origin)
+        self.first_hyperplane = 1 + sum(f.codim > 1 for f in self.flats)
         # lattice index -> element
         self._elem_of = {i: e for e, i in enumerate(order, start=1)} | dict.fromkeys(origin, 0)
         # below[v]: the elements strictly below v, 0 always among them; every
@@ -259,7 +262,7 @@ def enumerate_nested(bs: BuildingSet, max_size: int) -> list[frozenset[int]]:
     """
     if isinstance(max_size, bool) or not isinstance(max_size, int) or not 0 <= max_size < bs.n:
         raise ValueError(f"max_size must be an int in 0..{bs.n - 1}, not {max_size!r}")
-    found = [elems for _, elems, _ in _nested_sets(bs, max_size)]
+    found = [sorted(v for v, _ in limits if v) for _, limits in _nested_sets(bs, max_size)]
     found.sort(key=lambda s: (len(s), s))
     return [frozenset(s) for s in found]
 
@@ -267,12 +270,12 @@ def enumerate_nested(bs: BuildingSet, max_size: int) -> list[frozenset[int]]:
 def _nested_sets(bs: BuildingSet, max_size: int, bound: int | None = None):
     """Every nested set of at most `max_size` positive elements below
     `bound` (all of them by default), depth-first from the empty set, as
-    (bitmask, ascending elements, exponent bounds): (v, d) for v in the set
-    and the formal element 0, by decreasing dimension and then ascending v,
-    with d = dim(intersection of the set's elements strictly above v) -
-    dim(v) (Feichtner-Yuzvinsky).  The elements ascend by dimension, so a
-    bound at the first hyperplane leaves out exactly the sets that hold
-    one, which the relation ideal never reads.
+    (bitmask, exponent bounds): (v, d) for v in the set and the formal
+    element 0, by decreasing dimension and then ascending v, with d =
+    dim(intersection of the set's elements strictly above v) - dim(v)
+    (Feichtner-Yuzvinsky).  The relation ideal's bound,
+    `bs.first_hyperplane`, leaves out exactly the sets that hold a
+    hyperplane, which it never reads.
 
     A set grows by elements j past its largest, so none of it lies above
     j, and a branch dies at its first failed extension, since nestedness
@@ -291,12 +294,12 @@ def _nested_sets(bs: BuildingSet, max_size: int, bound: int | None = None):
     join, dim_of = bs.lattice.join, [f.dim for f in bs.lattice.flats]
     below = [sum(1 << w for w in ws) for ws in bs.below]
     pairs: list[int | None] = [None] * size
-    # (bitmask, elements, bounds, hyperplane masks of the elements above each bound's v, next j)
-    stack = [(0, (), ((0, n),), (0,), 1)]
+    # (bitmask, bounds, hyperplane masks of the elements above each bound's v, next j)
+    stack = [(0, ((0, n),), (0,), 1)]
     while stack:
-        mask, elems, limits, ors, start = stack.pop()
-        yield mask, elems, limits
-        if len(elems) == max_size:
+        mask, limits, ors, start = stack.pop()
+        yield mask, limits
+        if len(limits) > max_size:  # one bound per element, and one for 0
             continue
         for j in range(start, size):
             bj = below[j]
@@ -310,7 +313,7 @@ def _nested_sets(bs: BuildingSet, max_size: int, bound: int | None = None):
                 # the present elements not below j are incomparable to it
                 others = mask & ~bj
                 if others & (others - 1):
-                    if not _extends(bs, [a for a in elems if others >> a & 1], j):
+                    if not _extends(bs, [a for a in range(1, j) if others >> a & 1], j):
                         continue
             mj, dj = masks[j], dims[j]
             # j follows the present elements of its dimension, which lead
@@ -325,7 +328,7 @@ def _nested_sets(bs: BuildingSet, max_size: int, bound: int | None = None):
                     d = dim_of[join(o)] - dims[v]
                 child.append((v, d))
                 child_ors.append(o)
-            stack.append((mask | 1 << j, elems + (j,), tuple(child), tuple(child_ors), j + 1))
+            stack.append((mask | 1 << j, tuple(child), tuple(child_ors), j + 1))
 
 
 def _pairs_with(bs: BuildingSet, j: int, below_j: int) -> int:

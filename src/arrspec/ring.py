@@ -268,13 +268,13 @@ class IdealPresentation:
     element v, so its bound is one: x_v = -(sum of x_u over u below v),
     the relation of the empty set and v.  The nested supports with no
     hyperplane, which the rewriting never leaves, and their bounds come
-    from one pass (`nested._nested_sets`) that stops at the hyperplanes,
-    last in the element order, into `_nested` and `_limits`, both keyed
-    by the support's bitmask.  A variable's degree-one normal form
-    (`_images`) is computed at construction for the other elements, and
-    for a hyperplane only on first read (`_image`), as minus the sum of
-    the images below it: no root and no twist names a hyperplane
-    variable, so the spectrum path computes none.
+    from one pass (`nested._nested_sets`) that stops at the building
+    set's `first_hyperplane`, into `_limits`, keyed by the support's
+    bitmask; every nestedness test reads it.  A variable's degree-one
+    normal form (`_images`) is computed at construction for the other
+    elements, and for a hyperplane only on first read (`_image`), as
+    minus the sum of the images below it: no root and no twist names a
+    hyperplane variable, so the spectrum path computes none.
 
     `basis` lists the standard monomials by degree, lexicographically
     largest first within a degree, and `quotient_ranks[j]` counts those of
@@ -293,17 +293,10 @@ class IdealPresentation:
 
     def __init__(self, building: BuildingSet) -> None:
         self.building = building
-        # the hyperplane elements, of codimension 1, are the tail from this index
-        self._first_hyperplane = next(
-            (v for v in range(1, building.size) if building.codims[v] == 1), building.size
+        # nested set with no hyperplane, as a bitmask -> its exponent bounds
+        self._limits: dict[int, tuple[tuple[int, int], ...]] = dict(
+            _nested_sets(building, self.trunc, building.first_hyperplane)
         )
-        # nested set with no hyperplane, as a bitmask -> its elements, ascending,
-        # and its exponent bounds
-        self._nested: dict[int, tuple[int, ...]] = {}
-        self._limits: dict[int, tuple[tuple[int, int], ...]] = {}
-        for support, elems, limits in _nested_sets(building, self.trunc, self._first_hyperplane):
-            self._nested[support] = elems
-            self._limits[support] = limits
         self._expansions: dict[tuple[int, int], tuple[tuple[Sparse, int, int], ...]] = {}
         # monomial with nested support -> its normal form, as (basis index, integer) pairs
         self._forms: dict[Sparse, tuple[tuple[int, int], ...]] = {}
@@ -334,7 +327,7 @@ class IdealPresentation:
         # variable -> its normal form, (index, integer) pairs; a hyperplane's
         # is added by `_image` on first read
         self._images: dict[int, tuple[tuple[int, int], ...]] = {}
-        for v in range(self._first_hyperplane):
+        for v in range(building.first_hyperplane):
             unit = ((v, 1),)
             self._images[v] = _integral(self._form(unit, _mask((v,))), unit)
 
@@ -437,9 +430,9 @@ class IdealPresentation:
         support, table = self._masks[i], self._table
         partners = self._partners.get(support)
         if partners is None:
-            nested = self._nested
+            limits = self._limits
             partners = self._partners[support] = sorted(
-                j for s, js in self._supports.items() if s | support in nested for j in js
+                j for s, js in self._supports.items() if s | support in limits for j in js
             )
         row = {}
         end = self._starts[self.trunc + 1 - self._degrees[i]]
@@ -460,7 +453,7 @@ class IdealPresentation:
             terms = []
             for combo in combinations_with_replacement(sorted({w, *self.building.below[w]}), d):
                 mask = _mask(combo)
-                if combo.count(w) < d and mask in self._nested:
+                if combo.count(w) < d and mask in self._limits:
                     delta = tuple((v, len(list(run))) for v, run in groupby(combo))
                     coeff = factorial(d)
                     for _, e in delta:
@@ -478,8 +471,8 @@ class IdealPresentation:
         """
         got = self._forms.get(mono)
         if got is None:
-            low = support & ((1 << self._first_hyperplane) - 1)
-            if low not in self._nested:
+            low = support & ((1 << self.building.first_hyperplane) - 1)
+            if low not in self._limits:
                 return ()
             got = self._forms[mono] = (
                 self._rewrite(mono, support) if low == support else self._substitute(mono, support)
@@ -534,7 +527,7 @@ class IdealPresentation:
         out: dict[int, int] = {}
         for delta, mask, c in self._expansion(w, d):
             union = left | mask
-            if union not in self._nested:
+            if union not in self._limits:
                 continue
             for i, v in self._form(_times(rest, delta), union):
                 nv = out.get(i, 0) - c * v
@@ -575,7 +568,7 @@ class IdealPresentation:
     def _image(self, v: int) -> tuple[tuple[int, int], ...]:
         """The normal form of a hyperplane variable, stored on first read:
         x_v = -(sum of x_u over the u below v).  KeyError if v is not a variable."""
-        if v not in range(self._first_hyperplane, self.building.size):
+        if v not in range(self.building.first_hyperplane, self.building.size):
             raise KeyError(v)
         image: dict[int, int] = {}
         for u in sorted(self.building.below[v]):
@@ -594,11 +587,11 @@ class IdealPresentation:
                 num[i] += total // factorial(j) * c
         return QuotientElement(self, num, total)
 
-    def power_sums(self, roots, width: int) -> list[list["QuotientElement"]]:
-        """Power sums of `width` root lists that share their roots: for each
-        (mults, coeffs) in `roots`, x the class of the linear map `coeffs`
-        and mults a tuple of `width` integers, list j gets P_k = sum of
-        mults[j] * x^k for k = 0 .. n-1 (P_0 is zero).
+    def power_sums(self, roots) -> list[list["QuotientElement"]]:
+        """Power sums of root lists that share their roots, one list per
+        entry of the multiplicity tuples: for each (mults, coeffs) in the
+        non-empty list `roots`, x the class of the linear map `coeffs`, list
+        j gets P_k = sum of mults[j] * x^k for k = 0 .. n-1 (P_0 is zero).
 
         One `_powers` pass per root with a nonzero multiplicity, its powers
         added into every list in integer numerators, so the roots come
@@ -607,7 +600,7 @@ class IdealPresentation:
         under its strict root, which it equals.
         """
         rank = len(self._standard)
-        sums = [[[0] * rank for _ in range(self.trunc + 1)] for _ in range(width)]
+        sums = [[[0] * rank for _ in range(self.trunc + 1)] for _ in roots[0][0]]
         for mults, coeffs in roots:
             counted = [(m, lists) for m, lists in zip(mults, sums) if m]
             if not counted:

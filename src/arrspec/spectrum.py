@@ -167,9 +167,9 @@ class SpectrumSetup:
     def _twisted(self) -> tuple[tuple[int, ...], tuple[tuple[int, int, tuple[int, ...]], ...]]:
         """The distinct multiplicities of the hyperplanes, ascending, and
         (element, base, counts) for element 0 and the elements of
-        codimension >= 2: base is the codimension minus one, plus one for
-        element 0, and counts[i] is how many of the element's hyperplanes
-        have the i-th multiplicity.
+        codimension >= 2, those before `first_hyperplane`: base is the
+        codimension minus one, plus one for element 0, and counts[i] is how
+        many of the element's hyperplanes have the i-th multiplicity.
 
         A hyperplane element's closure is its one hyperplane (proportional
         normals are rejected), so its residue sum r_i / d is below one and
@@ -178,12 +178,9 @@ class SpectrumSetup:
         bs, mults = self.building, [h.mult for h in self.arrangement.hyperplanes]
         distinct = tuple(sorted(set(mults)))
         rows = [(0, bs.n, tuple(map(mults.count, distinct)))]
-        # by ascending dimension, the hyperplane elements come last
-        for v, c in enumerate(bs.codims[1:], start=1):
-            if c == 1:
-                break
+        for v in range(1, bs.first_hyperplane):
             own = [mults[i] for i in bs.closures[v]]
-            rows.append((v, c - 1, tuple(map(own.count, distinct))))
+            rows.append((v, bs.codims[v] - 1, tuple(map(own.count, distinct))))
         return distinct, tuple(rows)
 
     def _shifts(self, k: int) -> tuple[int, ...]:

@@ -79,6 +79,18 @@ def test_malformed_json_reports_position(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_json_errors_name_the_file_and_the_reason(capsys, tmp_path):
+    # an input document and a --building-set file go through one reader
+    document, building = tmp_path / "doc.json", tmp_path / "building.json"
+    document.write_text('{"n": 2\n"hyperplanes": []}')
+    building.write_text("[[0]\n[1]]")
+    cases = [(document, [str(document)]), (building, ["example-a", "--building-set", str(building)])]
+    for path, argv in cases:
+        code, _, err = run(capsys, "compute", *argv)
+        assert code == 1
+        assert err == f"error: {path}: not valid JSON (line 2, column 1): Expecting ',' delimiter\n"
+
+
 def test_field_errors_name_the_field(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "hyperplanes": [{"coeffs": [0.5, 1]}]}))

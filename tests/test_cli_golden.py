@@ -14,6 +14,8 @@ share their twist.  Without
 the maximal model stays pinned byte for byte as well.  To record new
 output after an intended change, run
 `PYTHONPATH=src python tests/test_cli_golden.py` and review the diff.
+The CI entry-point step runs every case through `python -m arrspec`,
+reading the cases from this module.
 """
 
 from __future__ import annotations
@@ -62,12 +64,17 @@ def _golden_path(fixture: str, case: str) -> Path:
     return GOLDEN / f"{fixture.replace(':', '-')}.{case}.txt"
 
 
-def _run(fixture: str, case: str) -> str:
+def _argv(fixture: str, case: str) -> list[str]:
+    """The case's command line after the program name."""
     source = str(GOLDEN / f"{fixture}.json") if fixture in DOCUMENTS else fixture
+    command, *options = COMMANDS[case]
+    return [command, source, *options]
+
+
+def _run(fixture: str, case: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        command, *options = COMMANDS[case]
-        code = main([command, source, *options])
+        code = main(_argv(fixture, case))
     return f"exit {code}\n{out.getvalue()}"
 
 

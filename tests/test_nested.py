@@ -267,9 +267,9 @@ def test_inherited_bounds_equal_the_bounds_from_scratch(setups):
         free = [s for s in found if not s & hyperplanes]
         assert len(free) < len(found)
         ideal = ideal_generators(bs)
-        assert set(ideal._nested) == set(ideal._limits) == {sum(1 << v for v in s) for s in free}
-        for mask, elems in ideal._nested.items():
-            assert elems == tuple(v for v in range(1, bs.size) if mask >> v & 1)
+        assert set(ideal._limits) == {sum(1 << v for v in s) for s in free}
+        for mask in ideal._limits:
+            elems = tuple(v for v in range(1, bs.size) if mask >> v & 1)
             expected = tuple(
                 (v, bs.intersection_dim([u for u in elems if bs.lt(v, u)]) - bs.dims[v])
                 for v in sorted((0, *elems), key=lambda v: (-bs.dims[v], v))

@@ -534,7 +534,7 @@ def test_the_table_is_filled_lazily_and_only_for_nested_pairs(setups):
         assert not fresh._partners and all(row is None for row in fresh._table), name
         spectrum_from_setup(setup)
         ideal = setup.ideal
-        masks, degrees, nested = ideal._masks, ideal._degrees, ideal._nested
+        masks, degrees, nested = ideal._masks, ideal._degrees, ideal._limits
         # each partner row is the brute-force list of nested-compatible indices, ascending
         for support, partners in ideal._partners.items():
             assert partners == [j for j in range(len(masks)) if support | masks[j] in nested], name
@@ -557,7 +557,7 @@ def test_sparse_kernel_routes_equal_the_dense_products(setups):
         zero = ideal.constant(0)
         for roots in (chern._dual_log_roots, chern._unit_roots):
             dense = chern._power_sums(roots(bs, ideal.linear), ideal.trunc, zero)
-            [sums] = ideal.power_sums([((m,), coeffs) for m, coeffs in roots(bs, dict)], 1)
+            [sums] = ideal.power_sums([((m,), coeffs) for m, coeffs in roots(bs, dict)])
             assert sums == dense
         for k in range(1, setup.degree + 1):
             x = ideal.linear(dict(enumerate(setup.twist_key(k))))
@@ -654,7 +654,7 @@ def assert_hyperplane_relations(ideal, rng):
     nv = bs.size
     hyperplanes = [v for v in range(1, nv) if bs.codims[v] == 1]
     assert hyperplanes == list(range(hyperplanes[0], nv)), bs
-    assert not any(support >> hyperplanes[0] for support in ideal._nested), bs
+    assert not any(support >> hyperplanes[0] for support in ideal._limits), bs
     # supports of degree below the top, so that x_v * m stays within the truncation
     nested = enumerate_nested(bs, trunc - 1)
     for v in hyperplanes:
@@ -704,7 +704,7 @@ def test_hyperplane_images_are_computed_on_first_read():
         setup = prepare(arr, building)
         spectrum_from_setup(setup)
         ideal, bs = setup.ideal, setup.building
-        first = ideal._first_hyperplane
+        first = bs.first_hyperplane
         assert first < bs.size and not any(v >= first for v in ideal._images), (arr, building)
         for v in range(first, bs.size):
             below = [ideal.linear({u: 1}) for u in sorted(bs.below[v])]
@@ -715,8 +715,8 @@ def test_hyperplane_images_are_computed_on_first_read():
                 ideal.linear(bad)
     # a stored empty image is an image, not a missing one
     ideal = prepare(resolve_fixture("lines:3")).ideal
-    ideal._images[ideal._first_hyperplane] = ()
-    assert ideal.linear({ideal._first_hyperplane: 1}) == ideal.constant(0)
+    ideal._images[ideal.building.first_hyperplane] = ()
+    assert ideal.linear({ideal.building.first_hyperplane: 1}) == ideal.constant(0)
 
 
 def test_boundary_points_are_the_point_class():

@@ -37,10 +37,10 @@ from arrspec import (
     spectrum_from_setup,
 )
 from arrspec.docio import load_input
-from arrspec.fixtures import resolve_fixture
+from arrspec.fixtures import fixture_names, resolve_fixture
 from arrspec.linalg import EchelonBasis
 from arrspec.spectrum import choose_building
-from test_quotient import braid, fraction_exp
+from test_quotient import braid, draw_custom_closures, draw_lattice, fraction_exp
 from test_ring import TERNARY
 
 GOLDEN_CLI = Path(__file__).resolve().parent / "golden" / "cli"
@@ -751,6 +751,43 @@ def weighted_arrangements(draw, most_mult=4, min_size=1):
     normals = draw(st.lists(st.sampled_from(pool), min_size=min_size, max_size=most, unique=True))
     mults = draw(st.lists(st.integers(1, most_mult), min_size=len(normals), max_size=len(normals)))
     return Arrangement.from_normals(n, normals, mults)
+
+
+def assert_one_hyperplane_tail(setup):
+    """The building set's `first_hyperplane` is where the codimension-1
+    elements start, and the ideal's supports and the twist rows stop there."""
+    bs = setup.building
+    first = bs.first_hyperplane
+    assert [v for v in range(1, bs.size) if bs.codims[v] == 1] == list(range(first, bs.size)), bs
+    assert all(bs.codims[v] >= 2 for v in range(1, first)), bs
+    assert not any(support >> first for support in setup.ideal._limits), bs
+    assert [v for v, _, _ in setup._twisted[1]] == list(range(first)), bs
+
+
+def test_the_hyperplane_tail_has_one_owner():
+    named = [name for name in fixture_names() if "<" not in name]
+    inputs = [(resolve_fixture(name), building) for name in named for building in (None, "maximal")]
+    inputs += [(resolve_fixture(name), None) for name in ("lines:3", "lines:9", "generic3d:5")]
+    for path in sorted(GOLDEN_CLI.glob("*.json")):
+        doc = load_input(str(path))
+        inputs += [(doc.arrangement, doc.building_closures), (doc.arrangement, "maximal")]
+    for n in (3, 4, 5):
+        arr, closures = braid(n)
+        inputs += [(arr, closures), (arr, "maximal")]
+    for arrangement, building in inputs:
+        assert_one_hyperplane_tail(prepare(arrangement, building))
+    # a single hyperplane's tail starts at 1, in C^2 and C^3
+    for arrangement in (resolve_fixture("lines:1"), Arrangement.from_normals(3, [(1, 0, 0)])):
+        setup = prepare(arrangement)
+        assert setup.building.first_hyperplane == 1
+        assert_one_hyperplane_tail(setup)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_the_hyperplane_tail_on_random_building_sets(data):
+    arr, lattice = draw_lattice(data, 6)
+    assert_one_hyperplane_tail(prepare(arr, draw_custom_closures(data, lattice)))
 
 
 @settings(max_examples=25, deadline=None)
