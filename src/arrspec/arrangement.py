@@ -211,10 +211,6 @@ class IntersectionLattice:
         i = self.join(sum(1 << h for h in key if 0 <= h < len(self._holding)))
         return i if set(self.flats[i].closure) == key else None
 
-    def leq(self, a: Flat, b: Flat) -> bool:
-        """Subspace containment: a <= b."""
-        return set(b.closure) <= set(a.closure)
-
     def join(self, mask: int) -> int:
         """Index of the intersection of the hyperplanes in `mask`, a bitmask.
 

@@ -109,6 +109,8 @@ def read_json(path: str):
             text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     return _decode(text, f"{path}: ")
 
 

@@ -7,8 +7,10 @@ arrangement it is identified with the origin flat, which therefore does
 not reappear at a positive index.
 
 `maximal_building` lists every proper flat, and `minimal_building` only
-the irreducible ones, read from the lattice by a fundamental-circuit test;
-`building_from_closures` takes a listed selection and checks the axiom.
+the irreducible ones, those that are not the direct sum of the smallest
+irreducible flats containing them; `building_from_closures` checks that
+every flat a selection leaves out is such a direct sum of listed flats.
+One test, `_direct_sum`, decides both.
 
 Element order is part of the data: index 0 first, then flats by ascending
 dimension with ties broken lexicographically on closures.  Polynomial
@@ -123,8 +125,8 @@ class BuildingSet:
         return self._elem_of.get(i)
 
     def __repr__(self) -> str:
-        kind = "maximal" if self.is_maximal else "custom"
-        return f"BuildingSet({self.size} elements, {kind})"
+        kind = ", maximal" if self.is_maximal else ""
+        return f"BuildingSet({self.size} elements{kind})"
 
 
 def maximal_building(lattice: IntersectionLattice) -> BuildingSet:
@@ -135,68 +137,59 @@ def maximal_building(lattice: IntersectionLattice) -> BuildingSet:
 def minimal_building(lattice: IntersectionLattice) -> BuildingSet:
     """Building set of the irreducible flats, the smallest one.
 
-    A flat is irreducible when the hyperplanes through it form a connected
-    matroid, read from the lattice's masks and `join` alone.  A flat of
-    codimension 1 is irreducible, and one of codimension c >= 2 on
-    exactly c hyperplanes is their direct sum.  Otherwise a basis of its
-    hyperplanes is picked greedily; a hyperplane e outside the basis
-    shares its fundamental circuit with the basis hyperplane b exactly
-    when e does not lie on the join of the basis without b, and the flat
-    is irreducible when these circuits connect the basis (every e lies on
-    one of them).
+    Going up by codimension, a flat is irreducible exactly when it is not
+    the direct sum of the smallest irreducible flats containing it
+    (`_direct_sum`), all of which come earlier; a hyperplane is irreducible.
     """
-    flats, masks, join = lattice.flats, lattice.masks, lattice.join
-    chosen = []
+    flats, masks = lattice.flats, lattice.masks
+    chosen, listed = [], []
     for i in range(1, len(flats)):
         m, c = masks[i], flats[i].codim
-        if c == 1 or m.bit_count() > c and _connected(m, c, masks, join):
+        if c == 1 or not _direct_sum(m, c, listed):
             chosen.append(i)
+            listed.append((m, c))
     return BuildingSet(lattice, chosen)
 
 
-def _connected(mask: int, codim: int, masks, join) -> bool:
-    """Whether the hyperplanes in `mask`, spanning a flat of codimension
-    `codim` >= 2, form a connected matroid: whether the fundamental circuits
-    of a basis join up all of its elements."""
-    basis = span = 0
-    rest = mask
-    while rest and basis.bit_count() < codim:
-        h = rest & -rest
-        rest ^= h
-        if not span & h:
-            basis |= h
-            span = masks[join(basis)]
-    # circuits[b]: the hyperplanes outside the basis whose circuit holds b
-    circuits = []
-    bits = basis
-    while bits:
-        b = bits & -bits
-        bits ^= b
-        circuits.append(mask & ~basis & ~masks[join(basis ^ b)])
-    reached, left = circuits[0], circuits[1:]
-    while left:
-        apart = []
-        for o in left:
-            if o & reached:
-                reached |= o
-            else:
-                apart.append(o)
-        if len(apart) == len(left):
+def _direct_sum(mask: int, codim: int, listed) -> bool:
+    """The building-set axiom at one flat: whether the flat with hyperplane
+    mask `mask` and codimension `codim` is the direct sum of the flats of
+    `listed`, (mask, codim) pairs by ascending codimension, whose masks are
+    maximal inside `mask`.
+
+    With every hyperplane listed, those masks cover `mask`, so their
+    codimensions sum to at least `codim`, with equality exactly when they
+    are disjoint and their ranks add up.  Walking down in codimension, a
+    flat inside one already taken is not maximal; any other that meets the
+    taken ones, or a sum past `codim`, decides.
+    """
+    taken: list[int] = []
+    union = total = 0
+    for s, c in reversed(listed):
+        if s & ~mask:
+            continue
+        if s & union:
+            if any(not s & ~t for t in taken):
+                continue
             return False
-        left = apart
-    return True
+        total += c
+        if total > codim:
+            return False
+        taken.append(s)
+        union |= s
+    return total == codim
 
 
 def building_from_closures(lattice: IntersectionLattice, closure_sets) -> BuildingSet:
     """Building set from explicit closure sets (expert option).
 
     Every codimension-1 flat must be listed, and the selection must satisfy
-    the building-set axiom: for every proper flat X, the smallest listed
-    flats containing X (those whose closures are inclusion-maximal inside
-    X's closure) have codimensions summing to codim(X), so X is their
-    direct sum.  A selection that fails, or lists an entry that is not an
-    int, is rejected with a `ValidationError`.
-    A listed X is its own only such flat, so only unlisted flats are counted.
+    the building-set axiom: every proper flat X is the direct sum of the
+    smallest listed flats containing X, those whose closures are
+    inclusion-maximal inside X's closure (`_direct_sum`).  A listed X is its
+    own only such flat, so only unlisted flats are tested.  A selection that
+    fails, or lists an entry that is not an int, is rejected with a
+    `ValidationError`.
     """
     flats, masks = lattice.flats, lattice.masks
     chosen: set[int] = set()
@@ -212,17 +205,12 @@ def building_from_closures(lattice: IntersectionLattice, closure_sets) -> Buildi
             raise ValidationError(
                 f"building set must contain every hyperplane flat; missing {list(f.closure)!r}"
             )
-    listed = [(masks[i], flats[i].codim) for i in chosen]
+    listed = [(masks[i], flats[i].codim) for i in sorted(chosen)]
     for i in range(1, len(flats)):
-        if i in chosen:
-            continue
-        x, xm = flats[i], masks[i]
-        below = [(s, c) for s, c in listed if not s & ~xm]
-        factors = sum(c for s, c in below if not any(s != t and not s & ~t for t, _ in below))
-        if factors != x.codim:
+        if i not in chosen and not _direct_sum(masks[i], flats[i].codim, listed):
             raise ValidationError(
-                f"not a building set: the smallest listed flats containing {list(x.closure)!r} "
-                f"have codimensions summing to {factors}, not its codimension {x.codim}"
+                f"not a building set: {list(flats[i].closure)!r} is not the direct sum "
+                f"of the smallest listed flats containing it"
             )
     return BuildingSet(lattice, chosen)
 

@@ -160,15 +160,6 @@ def test_closure_of_rejects_out_of_range_indices(bad):
         lat.closure_of([0, bad])
 
 
-def test_leq_is_subspace_containment():
-    lat = build_lattice(QUARTIC)
-    origin = next(f for f in lat.flats if f.dim == 0)
-    ambient = next(f for f in lat.flats if f.codim == 0)
-    for f in lat.flats:
-        assert lat.leq(origin, f)
-        assert lat.leq(f, ambient)
-
-
 MOMENT_NORMALS = [(1, t, t * t) for t in range(6)]
 
 

@@ -91,6 +91,17 @@ def test_json_errors_name_the_file_and_the_reason(capsys, tmp_path):
         assert err == f"error: {path}: not valid JSON (line 2, column 1): Expecting ',' delimiter\n"
 
 
+def test_files_that_are_not_utf8_exit_1(capsys, tmp_path):
+    # a UTF-16 byte-order mark before "{}": an input document and a
+    # --building-set file are rejected alike, naming the file
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    for argv in ([str(path)], ["example-a", "--building-set", str(path)]):
+        code, out, err = run(capsys, "compute", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: not UTF-8 text (byte 0: invalid start byte)\n"
+
+
 def test_field_errors_name_the_field(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "hyperplanes": [{"coeffs": [0.5, 1]}]}))

@@ -8,7 +8,8 @@ rank-4 arrangement, both in C^4) pin degree-3 rings, a third
 a custom building set, and a fourth (braid A3 in standard form, the six
 forms x_i - x_j in C^4) pins a non-essential input, and a fifth (ten
 lines in C^2 with multiplicities 1-3, degree 19) pins eigenvalues that
-share their twist.  Without
+share their twist.  The documents under rejected/ must fail: not-utf8 (a
+UTF-16 byte-order mark before "{}") exits 1 with empty stdout.  Without
 `--building-set` the CLI runs on the minimal building set; the
 `*-maximal` cases rerun three sources with `--building-set maximal`, so
 the maximal model stays pinned byte for byte as well.  To record new
@@ -40,6 +41,8 @@ FIXTURES = [
 ]
 # input documents, by file stem in GOLDEN
 DOCUMENTS = ["braid-a4", "weighted-c4", "custom-b1", "braid-a3-c4", "weighted-lines-c2"]
+# documents the CLI rejects, by file stem in GOLDEN / "rejected": one compute case each
+REJECTED = ["not-utf8"]
 # case name in the golden file name -> command line after the source
 COMMANDS = {
     "compute": ["compute", "--json"],
@@ -58,6 +61,7 @@ CASES += [
     for f in ("example-b1", "generic3d:5", "braid-a4")
     for c in ("compute-maximal", "verify-maximal", "lattice-maximal")
 ]
+CASES += [(f, "compute") for f in REJECTED]
 
 
 def _golden_path(fixture: str, case: str) -> Path:
@@ -66,7 +70,11 @@ def _golden_path(fixture: str, case: str) -> Path:
 
 def _argv(fixture: str, case: str) -> list[str]:
     """The case's command line after the program name."""
-    source = str(GOLDEN / f"{fixture}.json") if fixture in DOCUMENTS else fixture
+    source = fixture
+    if fixture in DOCUMENTS:
+        source = str(GOLDEN / f"{fixture}.json")
+    elif fixture in REJECTED:
+        source = str(GOLDEN / "rejected" / f"{fixture}.json")
     command, *options = COMMANDS[case]
     return [command, source, *options]
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_arrangement import signed_pairs, unit_vectors
 from test_quotient import braid
 from test_ring import TERNARY, building_closure
 
@@ -20,9 +22,11 @@ from arrspec import (
     is_nested,
     maximal_building,
     minimal_building,
+    prepare,
     spectrum,
 )
 from arrspec.fixtures import resolve_fixture
+from arrspec.nested import _direct_sum
 
 THREE_LINES = build_lattice(Arrangement.from_normals(2, [(1, 0), (0, 1), (1, 1)]))
 QUARTIC = build_lattice(
@@ -358,3 +362,56 @@ def test_custom_building_set_axiom_enforced():
     # the irreducible flats form a building set
     bs = building_from_closures(BRAID_A3, A3_HYPERPLANES + A3_TRIPLE_LINES + A3_ORIGIN)
     assert bs.size == 11 and bs.zero_flat_included and not bs.is_maximal
+
+
+def factor_sum(mask, listed):
+    """The codimensions of the listed flats whose masks are maximal inside
+    `mask`, summed: those whose masks lie in no other listed mask inside it."""
+    inside = [(s, c) for s, c in listed if not s & ~mask]
+    return sum(c for s, c in inside if not any(s != t and not s & ~t for t, _ in inside))
+
+
+def assert_direct_sum_is_the_factor_sum(lattice, rng):
+    # listed selections: every hyperplane plus a random share of the other
+    # proper flats, the maximal and the minimal set among them
+    flats, masks = lattice.flats, lattice.masks
+    proper = [i for i, f in enumerate(flats) if f.codim > 1]
+    selections = [proper, [i for i in minimal_building(lattice)._elem_of if flats[i].codim > 1]]
+    selections += [[i for i in proper if rng.random() < share] for share in (0.2, 0.5, 0.8)]
+    for extra in selections:
+        chosen = sorted({i for i, f in enumerate(flats) if f.codim == 1} | set(extra))
+        listed = [(masks[i], flats[i].codim) for i in chosen]
+        for m, f in zip(masks[1:], flats[1:]):
+            assert _direct_sum(m, f.codim, listed) == (factor_sum(m, listed) == f.codim), f.closure
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.randoms(use_true_random=False))
+def test_direct_sum_is_the_factor_sum(data, rng):
+    n = data.draw(st.sampled_from([3, 4]))
+    normals = data.draw(st.lists(st.sampled_from(TERNARY[n]), min_size=1, max_size=7, unique=True))
+    assert_direct_sum_is_the_factor_sum(build_lattice(Arrangement.from_normals(n, normals)), rng)
+
+
+def test_direct_sum_is_the_factor_sum_on_reflection_arrangements():
+    rng = random.Random(28)
+    arrangements = [braid(n)[0] for n in (3, 4, 5)] + [
+        Arrangement.from_normals(4, signed_pairs(4) + unit_vectors(4)),
+        Arrangement.from_normals(4, signed_pairs(4)),
+    ]
+    for arr in arrangements:
+        assert_direct_sum_is_the_factor_sum(build_lattice(arr), rng)
+
+
+def test_minimal_building_joins_nothing():
+    lattice = build_lattice(braid(4)[0])
+    minimal_building(lattice)
+    assert lattice._joins == {0: 0}
+
+
+def test_building_set_repr_names_only_the_maximal_set():
+    assert repr(prepare(resolve_fixture("example-b1")).building) == "BuildingSet(5 elements)"
+    assert repr(maximal_building(QUARTIC)) == "BuildingSet(11 elements, maximal)"
+    assert repr(building_from_closures(BRAID_A3, A3_HYPERPLANES + A3_TRIPLE_LINES + A3_ORIGIN)) == (
+        "BuildingSet(11 elements)"
+    )

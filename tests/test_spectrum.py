@@ -40,6 +40,7 @@ from arrspec.docio import load_input
 from arrspec.fixtures import fixture_names, resolve_fixture
 from arrspec.linalg import EchelonBasis
 from arrspec.spectrum import choose_building
+from test_arrangement import signed_pairs, unit_vectors
 from test_quotient import braid, draw_custom_closures, draw_lattice, fraction_exp
 from test_ring import TERNARY
 
@@ -316,6 +317,12 @@ def test_minimal_building_of_braid_is_the_one_block_partitions():
         if n < 6:
             assert_minimal_is_the_irreducible_flats(lattice)
     assert counts == [11, 26, 57, 120]
+
+
+@pytest.mark.parametrize("name", ["B4", "D4"])
+def test_minimal_building_of_b4_and_d4_is_the_irreducible_flats(name):
+    normals = signed_pairs(4) + (unit_vectors(4) if name == "B4" else [])
+    assert_minimal_is_the_irreducible_flats(build_lattice(Arrangement.from_normals(4, normals)))
 
 
 # decomposable inputs, whose origin is the direct sum of smaller flats
