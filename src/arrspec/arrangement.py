@@ -99,7 +99,7 @@ class Flat:
 class Arrangement:
     """A central arrangement with multiplicities in C^n, n >= 2."""
 
-    __slots__ = ("n", "hyperplanes", "degree")
+    __slots__ = ("n", "hyperplanes", "degree", "_directions")
 
     def __init__(self, n: int, hyperplanes) -> None:
         if not isinstance(n, int) or n < 2:
@@ -123,10 +123,11 @@ class Arrangement:
         if not hps:
             raise ValidationError("an arrangement needs at least one hyperplane")
         # the smallest i with a later proportional normal, then its first such j
+        directions = tuple(_direction(h.normal) for h in hps)
         first: dict[tuple[int, ...], int] = {}
         pair = None
-        for j, h in enumerate(hps):
-            i = first.setdefault(_direction(h.normal), j)
+        for j, direction in enumerate(directions):
+            i = first.setdefault(direction, j)
             if i != j and (pair is None or i < pair[0]):
                 pair = (i, j)
         if pair is not None:
@@ -138,6 +139,8 @@ class Arrangement:
         self.hyperplanes = tuple(hps)
         # total degree of the defining polynomial: the sum of multiplicities
         self.degree = sum(h.mult for h in hps)
+        # each normal's `_direction`, kept for `build_lattice`'s ambient rows
+        self._directions = directions
 
     @classmethod
     def from_normals(cls, n: int, normals, mults=None) -> "Arrangement":
@@ -271,14 +274,10 @@ def build_lattice(arrangement: Arrangement) -> IntersectionLattice:
     """
     n, m = arrangement.n, arrangement.size
     found: dict[tuple[int, ...], int] = {(): 0}
-    # at the ambient space each row is the normal's direction; proportional
-    # normals are rejected by Arrangement, so every rank-1 group is one
-    # hyperplane.  In C^2 no rank-1 flat is restricted, so the rows are
-    # never read and each is keyed by its index instead.
-    if n == 2:
-        ambient = {j: [j] for j in range(m)}
-    else:
-        ambient = {_direction(h.normal): [j] for j, h in enumerate(arrangement.hyperplanes)}
+    # at the ambient space each row is the normal's direction, which
+    # Arrangement keeps; proportional normals are rejected there, so every
+    # rank-1 group is one hyperplane
+    ambient = {d: [j] for j, d in enumerate(arrangement._directions)}
     frontier = [((), ambient)]
     # whether some line is a proper flat, so that the origin is one too
     origin = False

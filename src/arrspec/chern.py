@@ -25,25 +25,29 @@ series coefficients depend only on n - 1 and are computed once for each.
 Every root is an integer combination of the variables, handed to the
 ring as a sparse map {variable: coefficient} that names only the
 variables it uses: minus the variables of a set (c_0 alone, or the
-elements strictly or weakly below v), or c_v alone.  `char_classes` runs
-one body on either kind of element: free-ring `GradedPoly`s, or, given
-the relation ideal, `QuotientElement`s, whose products read the ideal's
-integer structure constants.  Only the power sums differ.  The free
-ring's come from `_power_sums` over `_dual_log_roots` and `_unit_roots`,
-kept as the tests' reference.  The quotient's come from one table
-(`_quotient_roots`) that keys each root by its set and gives it two
-multiplicities, dual log and tangent, and that drops what the quotient
-makes redundant.  Nothing lies above a hyperplane element v, so the
-Feichtner-Yuzvinsky relation x_v = -(sum of x_u over u below v) holds
-(Invent. Math. 155, 2004): v's weak root is zero and is never built, and
-its unit root c_v equals its strict root, so in the tangent it cancels
-the strict root's -1.  `IdealPresentation.power_sums` then takes one
-pass of the ring's sparse kernel per root class with a nonzero
-multiplicity and adds each power into both lists.  Hyperplanes with the
-same elements below share a class: in C^2 every strict root is -c_0, so
-there the kernel runs once, however many lines there are.  The total and
-log Chern classes are built from the stored power sums when first read;
-the spectrum reads neither.
+elements strictly or weakly below v), or c_v alone.  `char_classes` has
+two bodies.  Without the relation ideal it computes free-ring
+`GradedPoly`s by products, its power sums from `_power_sums` over
+`_dual_log_roots` and `_unit_roots`: the tests' reference.  Given the
+ideal, `_quotient_classes` works on integer numerator lists over
+denominators known in advance, through the ring's structure-constant
+product (`IdealPresentation._product`), and builds one `QuotientElement`
+per returned class, at the end: the power sums' numerators are over 1,
+ch's over t! (t = n - 1), lambda^p's divide p! * (t!)^p, and Todd's
+exponent is over the lcm of the log-Todd coefficients.  Its power sums
+come from one table (`_quotient_roots`) that keys each root by its set
+and gives it two multiplicities, dual log and tangent, and that drops
+what the quotient makes redundant.  Nothing lies above a hyperplane
+element v, so the Feichtner-Yuzvinsky relation x_v = -(sum of x_u over
+u below v) holds (Invent. Math. 155, 2004): v's weak root is zero and is
+never built, and its unit root c_v equals its strict root, so in the
+tangent it cancels the strict root's -1.  `IdealPresentation.power_sums`
+then takes one pass of the ring's sparse kernel per root class with a
+nonzero multiplicity and adds each power into both lists.  Hyperplanes
+with the same elements below share a class: in C^2 every strict root is
+-c_0, so there the kernel runs once, however many lines there are.  The
+total and log Chern classes are built from the stored power sums, in
+element arithmetic, when first read; the spectrum reads neither.
 
 `ch_dual_exterior_roots` is kept as an independent route to the same
 Chern characters: it expands the exponential sums over formal roots,
@@ -60,7 +64,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial, reduce
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 from operator import mul
 
 from .arrangement import StructureError
@@ -225,14 +229,13 @@ def char_classes(bs: BuildingSet, ideal: IdealPresentation | None = None) -> Cha
 
     Free-ring `GradedPoly`s, or `QuotientElement`s in the quotient by `ideal`.
     """
+    if ideal is not None:
+        return _quotient_classes(bs, ideal)
     trunc = bs.n - 1
-    if ideal is None:
-        free = partial(GradedPoly.linear, nvars=bs.size, trunc=trunc)
-        roots = (_dual_log_roots(bs, free), _unit_roots(bs, free))
-        dual_log, units = (_power_sums(r, trunc, free({})) for r in roots)
-        tangent = [a + b for a, b in zip(dual_log, units)]
-    else:
-        dual_log, tangent = ideal.power_sums(_quotient_roots(bs))
+    free = partial(GradedPoly.linear, nvars=bs.size, trunc=trunc)
+    roots = (_dual_log_roots(bs, free), _unit_roots(bs, free))
+    dual_log, units = (_power_sums(r, trunc, free({})) for r in roots)
+    tangent = [a + b for a, b in zip(dual_log, units)]
     zero = dual_log[0]
     todd = _root_sum(_log_todd(trunc), tangent).exp()
 
@@ -244,6 +247,48 @@ def char_classes(bs: BuildingSet, ideal: IdealPresentation | None = None) -> Cha
         acc = sum((psi[j] * dual_ch[p - j] * (-1) ** (j - 1) for j in range(1, p + 1)), zero)
         dual_ch.append(acc * Fraction(1, p))
     return CharClasses(bs, todd, tuple(dual_ch), tuple(tangent), tuple(dual_log))
+
+
+def _quotient_classes(bs: BuildingSet, ideal: IdealPresentation) -> CharClasses:
+    """The classes of `char_classes` in the quotient, on integer numerators
+    over denominators known in advance; one `QuotientElement` per class.
+
+    With F = t!, t = n - 1, ch and each psi^j(ch) are over F.  lambda^q in
+    lowest terms has a denominator e_q dividing q! * F^q, so the Newton term
+    j, psi^j(ch) * lambda^(p-j) over F * e_(p-j), is scaled onto the common
+    (p - 1)! * F^p, and the sum over p! * F^p is lambda^p.  The term j = p
+    is psi^p(ch) itself, since lambda^0 = 1.  The products read the
+    lambdas in lowest terms, so their integers stay small.
+    """
+    trunc, rank = bs.n - 1, len(ideal.index)
+    dual_log, tangent = ideal.power_sums(_quotient_roots(bs))
+    todd = QuotientElement(ideal, *ideal._exp(*_numerator_sum(_log_todd(trunc), tangent)))
+
+    ch, f = _numerator_sum(_inverse_factorials(trunc), dual_log)
+    ch[0] += trunc * f
+    psi = [None, ch] + [ideal._adams(ch, j) for j in range(2, bs.n)]
+    dual_ch = [QuotientElement(ideal, [1] + [0] * (rank - 1))]
+    for p in range(1, bs.n):
+        common = factorial(p - 1) * f**p
+        acc = [0] * rank
+        for j in range(1, p + 1):
+            lam = dual_ch[p - j]
+            term = psi[p] if j == p else ideal._product(psi[j], lam.num)
+            scale = common // (f * lam.den) * (-1) ** (j - 1)
+            acc = [a + scale * x for a, x in zip(acc, term)]
+        dual_ch.append(QuotientElement(ideal, acc, p * common))
+    return CharClasses(bs, todd, tuple(dual_ch), tuple(tangent), tuple(dual_log))
+
+
+def _numerator_sum(f: Sequence[Fraction], sums: list[QuotientElement]) -> tuple[list[int], int]:
+    """`_root_sum(f, sums)` on the power sums' integer numerators: (numerators,
+    the lcm of the denominators of f past f(0))."""
+    den = lcm(*(c.denominator for c in f[1:]))
+    out = [0] * len(sums[0].num)
+    for c, ps in zip(f[1:], sums[1:]):
+        scale = c.numerator * (den // c.denominator)
+        out = [o + scale * x for o, x in zip(out, ps.num)]
+    return out, den
 
 
 def ch_dual_exterior_roots(bs: BuildingSet, p: int, log_chern: Element) -> Element:

@@ -31,11 +31,15 @@ per basis monomial over one common denominator.  Its products walk the
 rows (`IdealPresentation._product`, on the numerator lists), so a
 product costs one multiply-add per structure constant, in integers; the
 exponential sums its powers over one denominator and reduces once.  The
-powers of a linear form (for the power sums of the Chern roots and the
-twists' exponentials) come from one sparse kernel on integer maps,
-`IdealPresentation._powers`, which sums the form from the variables'
-degree-one images and never touches the whole rank.  The top-degree
-quotient has rank one, spanned by c_0^(n-1), which is (-1)^(n-1) times
+same kernels run on bare numerator lists (`_product`, `_exp`, `_adams`),
+so `chern` builds its quotient classes in integers and wraps each in an
+element only at the end.  The powers of a linear form (for the power
+sums of the Chern roots and the twists' exponentials) come from one
+sparse kernel on integer maps, `IdealPresentation._powers`, which sums
+the form from the variables' degree-one images and never touches the
+whole rank; `_exp_linear` sums them into the exponential's numerators
+over t!, which the spectrum's cells read and `exp_linear` wraps.  The
+top-degree quotient has rank one, spanned by c_0^(n-1), which is (-1)^(n-1) times
 the class of a point, so the product of two basis monomials of
 complementary degree is zero or one multiple of it.  An element a pairs
 with b through its covector u, an integer row over the whole basis whose
@@ -293,6 +297,10 @@ class IdealPresentation:
 
     def __init__(self, building: BuildingSet) -> None:
         self.building = building
+        self.trunc = building.n - 1
+        # t!/j! for j = 0 .. t, t = n - 1: the exponential's terms over t!
+        top = factorial(self.trunc)
+        self._exp_scales = tuple(top // factorial(j) for j in range(self.trunc + 1))
         # nested set with no hyperplane, as a bitmask -> its exponent bounds
         self._limits: dict[int, tuple[tuple[int, int], ...]] = dict(
             _nested_sets(building, self.trunc, building.first_hyperplane)
@@ -330,10 +338,6 @@ class IdealPresentation:
         for v in range(building.first_hyperplane):
             unit = ((v, 1),)
             self._images[v] = _integral(self._form(unit, _mask((v,))), unit)
-
-    @property
-    def trunc(self) -> int:
-        return self.building.n - 1
 
     @cached_property
     def basis(self) -> list[Monomial]:
@@ -395,7 +399,7 @@ class IdealPresentation:
         """x^k for k = 1 .. n-1, x the class of the linear map `coeffs`, each
         sparse {basis index: integer}, up to the first zero power: the ring's
         one sparse kernel, run once per root class by `power_sums` and once
-        per distinct twist by `exp_linear`.  x itself is summed from the
+        per twist class by `_exp_linear`.  x itself is summed from the
         variables' images (`_sparse`), so the kernel never touches the whole
         rank.  Each term of a power walks the degree-one head of its row, so
         it meets the same nested pairs as `_product`."""
@@ -578,14 +582,43 @@ class IdealPresentation:
         return got
 
     def exp_linear(self, coeffs) -> "QuotientElement":
-        """`linear(coeffs).exp()`: the sum of (t!/j!) * x^j over the one
-        denominator t!, t = n - 1, with the powers x^j from `_powers`."""
-        total = factorial(self.trunc)
-        num = [total] + [0] * (len(self._standard) - 1)
+        """`linear(coeffs).exp()`, from the numerators of `_exp_linear`."""
+        return QuotientElement(self, self._exp_linear(coeffs), self._exp_scales[0])
+
+    def _exp_linear(self, coeffs) -> list[int]:
+        """The numerators of `linear(coeffs).exp()` over t!, t = n - 1: the
+        sum of (t!/j!) * x^j, with the powers x^j from `_powers`.  Neither
+        normalized nor wrapped, so the spectrum's cells read it directly."""
+        scales = self._exp_scales
+        num = [0] * len(self._standard)
+        num[0] = scales[0]
         for j, power in enumerate(self._powers(coeffs), start=1):
+            scale = scales[j]
             for i, c in power.items():
-                num[i] += total // factorial(j) * c
-        return QuotientElement(self, num, total)
+                num[i] += scale * c
+        return num
+
+    def _exp(self, num: list[int], den: int) -> tuple[list[int], int]:
+        """exp(num / den) as numerators over t! * den^t, t = n - 1; num[0]
+        must be zero.  The sum over j <= t of (t!/j!) * den^(t - j) * num^j,
+        in integer products from `_product`, not reduced."""
+        top = self.trunc
+        total = factorial(top) * den**top
+        out = [total] + [0] * (len(num) - 1)
+        scale, power = total, num
+        for j in range(1, top + 1):
+            if not any(power):
+                break
+            scale //= j * den
+            out = [o + scale * x for o, x in zip(out, power)]
+            if j < top:
+                power = self._product(power, num)
+        return out, total
+
+    def _adams(self, num: list[int], k: int) -> list[int]:
+        """The Adams operation psi^k on numerators: degree i scaled by k^i."""
+        scale = [k**i for i in range(self.trunc + 1)]
+        return [x * scale[d] for x, d in zip(num, self._degrees)]
 
     def power_sums(self, roots) -> list[list["QuotientElement"]]:
         """Power sums of root lists that share their roots, one list per
@@ -701,30 +734,16 @@ class QuotientElement:
     def exp(self) -> "QuotientElement":
         """Truncated exponential; requires zero constant term.
 
-        With x = num / den and t = n - 1, exp(x) is the sum over j <= t of
-        (t! / j!) * den^(t - j) * num^j, over the one denominator t! * den^t:
-        integer products, reduced to lowest terms once at the end.
+        The integer series of `IdealPresentation._exp`, reduced to lowest
+        terms once at the end.
         """
         if self.num[0]:
             raise ValueError("exp needs a zero constant term")
-        ring, num, den, top = self.ring, self.num, self.den, self.ring.trunc
-        total = factorial(top) * den**top
-        out = [total] + [0] * (len(num) - 1)
-        scale, power = total, num
-        for j in range(1, top + 1):
-            if not any(power):
-                break
-            scale //= j * den
-            out = [o + scale * x for o, x in zip(out, power)]
-            if j < top:
-                power = ring._product(power, num)
-        return QuotientElement(ring, out, total)
+        return QuotientElement(self.ring, *self.ring._exp(self.num, self.den))
 
     def adams(self, k: int) -> "QuotientElement":
         """Adams operation psi^k on a Chern character: scale degree i by k^i."""
-        scale = [k**i for i in range(self.ring.trunc + 1)]
-        num = [x * scale[d] for x, d in zip(self.num, self.ring._degrees)]
-        return QuotientElement(self.ring, num, self.den)
+        return QuotientElement(self.ring, self.ring._adams(self.num, k), self.den)
 
     def graded_parts(self) -> list["QuotientElement"]:
         """The degree-j parts, j = 0 .. n-1: the slices of `num` between the degree starts."""

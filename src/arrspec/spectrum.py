@@ -21,20 +21,23 @@ which has the same lattice and a ring of dimension r - 1 instead of
 n - 1.  With lift = n - r, the input's cell at p is (-1)^lift times the
 core's cell at p - lift, and every cell with p < lift is zero.
 
-Every class is a `QuotientElement`, in the quotient ring over its
-standard-monomial basis.  The product ch * Todd is computed once per p
-and kept only as its pairing covector u, an integer row over the whole
-basis read from the ring's structure-constant rows, with the denominator
-alongside.  A hyperplane element never shifts, so k enters the cells
-only through its twist class: the shifts at element 0 and at the
-elements of codimension >= 2, computed in integers from each element's
-hyperplanes counted by multiplicity.  The exponential of the divisor sum
-of shifts is computed once per class, in integers, from the powers of
-that linear form in the ring's sparse kernel; the covectors and the
-exponentials are cached on the `SpectrumSetup`.  Each cell is one
-integer dot product u . t over the two denominators, without forming
-the product of the two classes, and `spectrum_from_setup` takes it once
-per class and p, not once per k.
+The characteristic classes are `QuotientElement`s, in the quotient ring
+over its standard-monomial basis.  The product ch * Todd is computed
+once per p and kept only as its pairing covector u, an integer row over
+the whole basis read from the ring's structure-constant rows, with the
+denominator alongside; the covectors are cached on the `SpectrumSetup`.  A
+hyperplane element never shifts, so k enters the cells only through its
+twist class: the shifts at element 0 and at the elements of codimension
+>= 2, computed in integers from each element's hyperplanes counted by
+multiplicity.  The exponential of the divisor sum of shifts is taken
+once per class as integer numerators over t!, t = n - 1, from the
+powers of that linear form in the ring's sparse kernel
+(`IdealPresentation._exp_linear`, which `exp_linear` and so `twist`
+wrap).  Each cell is one integer dot product of u with those numerators
+over the two denominators, checked for exact division, without forming
+the product of the two classes.  `spectrum_from_setup` takes it once per
+class and p, not once per k, and keeps the class rows only for the
+call; `multiplicity` caches each class's numerators on the setup.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import floor
+from math import factorial, floor
 from operator import mul
 
 from .arrangement import (
@@ -124,11 +127,11 @@ class SpectrumSetup:
     ideal: IdealPresentation
     quotient: CharClasses
     # per-cell factors, filled on first use: q -> (covector, denominator),
-    # and twist class (`_shifts`) -> its exponential
+    # and twist class (`_shifts`) -> its exponential's numerators over t!
     _covectors: dict[int, tuple[list[int], int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _twists: dict[tuple[int, ...], QuotientElement] = field(
+    _twists: dict[tuple[int, ...], list[int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -203,26 +206,29 @@ class SpectrumSetup:
         hyperplane element.  Raises ValueError unless k is an int in 1..degree.
         """
         _check_index("eigenvalue index", k, 1, self.degree)
-        key = [0] * self.building.size
-        for (v, _, _), a in zip(self._twisted[1], self._shifts(k)):
-            key[v] = a
-        return tuple(key)
+        shifts = self._shifts(k)
+        # `_twisted`'s rows are the elements 0 .. first_hyperplane - 1, in order
+        return shifts + (0,) * (self.building.size - len(shifts))
 
     def twist(self, k: int) -> QuotientElement:
-        """`twist_exp` of the k-th eigenvalue in the quotient, computed once per twist class.
+        """`twist_exp` of the k-th eigenvalue in the quotient.
 
         Raises ValueError unless k is an int in 1..degree.
         """
         _check_index("eigenvalue index", k, 1, self.degree)
-        return self._class_twist(self._shifts(k))
+        return self.ideal.exp_linear(self._coeffs(self._shifts(k)))
 
-    def _class_twist(self, shifts: tuple[int, ...]) -> QuotientElement:
-        """The exponential of the divisor sum with the class's shifts, cached by class."""
+    @staticmethod
+    def _coeffs(shifts: tuple[int, ...]) -> dict[int, int]:
+        """The divisor of a twist class, {element: coefficient}, as in
+        `twist_key`; the hyperplane elements' zero coefficients are left out."""
+        return dict(enumerate(shifts))
+
+    def _class_twist(self, shifts: tuple[int, ...]) -> list[int]:
+        """The numerators over t! of the class's exponential, cached by class."""
         got = self._twists.get(shifts)
         if got is None:
-            # the hyperplane elements' coefficients are zero
-            coeffs = {v: a for (v, _, _), a in zip(self._twisted[1], shifts)}
-            got = self._twists[shifts] = self.ideal.exp_linear(coeffs)
+            got = self._twists[shifts] = self.ideal._exp_linear(self._coeffs(shifts))
         return got
 
 
@@ -270,27 +276,28 @@ def multiplicity(setup: SpectrumSetup, k: int, p: int) -> int:
         raise ValueError("the exponent n is excluded from the spectrum")
     if p < setup.lift:
         return 0
-    return _cell(_factor(setup, p), setup.twist(k), k)
+    return _cell(_factor(setup, p), setup._class_twist(setup._shifts(k)), k)
 
 
 def _factor(setup: SpectrumSetup, p: int) -> tuple[int, list[int], int, int]:
-    """(p, covector, denominator, sign) of the cells at p >= lift.
+    """(p, covector, denominator, sign) of the cells at p >= lift; the
+    denominator is the covector's times t!, the twists' numerators' own.
 
     The ring's degree q = n - 1 - p is the same for the input and its
     essentialization, where the cell is the core cell at p - lift, signed
     by (-1)^lift.
     """
     q = setup.n - 1 - p
-    return (p, *setup.covector(q), (-1) ** (q + setup.lift))
+    u, den = setup.covector(q)
+    return (p, u, den * factorial(setup.ideal.trunc), (-1) ** (q + setup.lift))
 
 
-def _cell(factor: tuple[int, list[int], int, int], twist: QuotientElement, k: int) -> int:
-    """The multiplicity of k/d + p, given the factor at p and the k-th twist:
-    one dot product of the covector of ch * Todd with the twist, checked to
-    be an exact integer."""
+def _cell(factor: tuple[int, list[int], int, int], twist: list[int], k: int) -> int:
+    """The multiplicity of k/d + p, given the factor at p and the numerators
+    of the k-th twist: one dot product of the covector of ch * Todd with
+    them, checked to be an exact integer."""
     p, u, den, sign = factor
-    den *= twist.den
-    total = sum(map(mul, u, twist.num)) * sign
+    total = sum(map(mul, u, twist)) * sign
     if total % den:
         raise StructureError(
             f"non-integral multiplicity {Fraction(total, den)} at k={k}, p={p}"
@@ -332,7 +339,7 @@ def spectrum_from_setup(setup: SpectrumSetup) -> SpectrumResult:
         shifts = setup._shifts(k)
         row = rows.get(shifts)
         if row is None:
-            twist = setup._class_twist(shifts)
+            twist = setup.ideal._exp_linear(setup._coeffs(shifts))
             row = rows[shifts] = [_cell(f, twist, k) for f in factors[: len(factors) - (k == d)]]
         cells.append(row)
     # by ascending exponent k/d + p

@@ -15,6 +15,7 @@ from functools import reduce
 from itertools import combinations
 from math import comb, factorial, gcd
 from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +42,7 @@ from arrspec import (
 )
 from arrspec import chern, cli, ring
 from arrspec.chern import q_series, series_log
+from arrspec.docio import load_input
 from arrspec.fixtures import resolve_fixture
 from arrspec.linalg import EchelonBasis
 
@@ -774,6 +776,31 @@ def test_riemann_roch_on_the_resolution(setups):
             assert form.pair(cl.todd) == (-1) ** p * ranks[p], (name, p)
 
 
+def test_integer_classes_equal_element_arithmetic(setups):
+    # the quotient classes are built on integer numerators; here they are
+    # rebuilt in QuotientElement arithmetic.  The fixtures are all in C^3,
+    # where Newton meets no lambda^(p-j) other than 1 and lambda^1, so the
+    # cases run up to braid A5 in C^5
+    golden = Path(__file__).resolve().parent / "golden" / "cli"
+    arr, closures = braid(5)
+    cases = riemann_roch_setups(setups) + [
+        ("braid A4 maximal", prepare(braid(4)[0], "maximal")),
+        ("braid A5 minimal", prepare(arr, closures)),
+    ]
+    for stem in ("weighted-c4", "braid-a3-c4"):
+        cases.append((stem, prepare(load_input(str(golden / f"{stem}.json")).arrangement)))
+    assert max(setup.building.n for _, setup in cases) == 5
+    for name, setup in cases:
+        bs, cl, n = setup.building, setup.quotient, setup.building.n
+        one = setup.ideal.constant(1)
+        parts = (x * Fraction(1, factorial(k)) for k, x in enumerate(cl.dual_log) if k)
+        ch = sum(parts, one * (n - 1))
+        assert list(cl.dual_ch) == lambda_powers(ch, n), name
+        for p, form in enumerate(cl.dual_ch):
+            assert form == chern.ch_dual_exterior_roots(bs, p, cl.log_chern), (name, p)
+        assert cl.todd == chern._root_sum(series_log(q_series(n - 1)), cl.tangent).exp(), name
+
+
 def random_element(rng, ideal, den):
     """An element with random small numerators over the basis and denominator `den`."""
     num = [rng.choice((0, 0, rng.randint(-9, 9))) for _ in ideal.basis]
@@ -838,8 +865,9 @@ def test_integer_exp_matches_the_fraction_series(setups):
 
 
 def test_ints_and_fractions_act_from_either_side(setups):
-    # chern.py runs one body on GradedPoly and QuotientElement, so both
-    # must take a plain number on the left
+    # the classes' element arithmetic (CharClasses.total and log_chern,
+    # ch_dual_exterior_roots) runs on GradedPoly and QuotientElement alike,
+    # so both must take a plain number on either side
     half = Fraction(1, 2)
     for setup in setups.values():
         poly = setup.classes.todd

@@ -618,16 +618,18 @@ def test_spectrum_from_setup_keeps_the_integrality_check():
 
 
 def test_spectrum_takes_one_exponential_per_twist_class(setups, monkeypatch):
-    # and pairs it once with each covector, leaving out the exponent n
+    # and pairs it once with each covector, leaving out the exponent n: the
+    # exponential's numerators come from the ring helper that `exp_linear`
+    # wraps, and each cell is the one checked dot product
     module = importlib.import_module("arrspec.spectrum")
     calls, cells = [], []
-    exp_linear, cell = IdealPresentation.exp_linear, module._cell
+    exp_linear, cell = IdealPresentation._exp_linear, module._cell
 
     def counted(ideal, coeffs):
         calls.append(coeffs)
         return exp_linear(ideal, coeffs)
 
-    monkeypatch.setattr(IdealPresentation, "exp_linear", counted)
+    monkeypatch.setattr(IdealPresentation, "_exp_linear", counted)
     monkeypatch.setattr(module, "_cell", lambda *args: cells.append(args) or cell(*args))
     # braid-a3-c4 is computed on its essentialization, with no cells at p = 0
     stems = ("weighted-c4", "braid-a3-c4", "weighted-lines-c2")
