@@ -215,13 +215,19 @@ def building_from_closures(lattice: IntersectionLattice, closure_sets) -> Buildi
     return BuildingSet(lattice, chosen)
 
 
+def _check_index(what: str, value, lo: int, hi: int) -> None:
+    """ValueError unless `value` is an int, not a bool, in lo..hi."""
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+        raise ValueError(f"{what} {value!r} must be an integer in {lo}..{hi}")
+
+
 def _check_elements(bs: BuildingSet, subset) -> list[int]:
-    elems = sorted(set(subset))
+    """The distinct elements of `subset`, ascending; ValueError unless each
+    is an element index, checked before they are compared or merged."""
+    elems = list(subset)
     for e in elems:
-        if not isinstance(e, int) or not 0 <= e < bs.size:
-            raise ValueError(f"element {e!r} is not in the building set")
-    # the formal zero element is comparable to everything and never obstructs
-    return [e for e in elems if e != 0]
+        _check_index("element", e, 0, bs.size - 1)
+    return sorted(set(elems))
 
 
 def is_nested(bs: BuildingSet, subset) -> bool:
@@ -231,7 +237,8 @@ def is_nested(bs: BuildingSet, subset) -> bool:
     subspace that is *not* in the building set.  For the maximal building
     set this degenerates to being a chain.
     """
-    elems = _check_elements(bs, subset)
+    # the formal zero element is comparable to everything and never obstructs
+    elems = [e for e in _check_elements(bs, subset) if e]
     for size in range(2, len(elems) + 1):
         for sub in combinations(elems, size):
             if any(bs.leq(a, b) or bs.leq(b, a) for a, b in combinations(sub, 2)):
@@ -248,8 +255,7 @@ def enumerate_nested(bs: BuildingSet, max_size: int) -> list[frozenset[int]]:
     A view of the depth-first pass `_nested_sets`; `max_size` is an int
     in 0 .. n-1.
     """
-    if isinstance(max_size, bool) or not isinstance(max_size, int) or not 0 <= max_size < bs.n:
-        raise ValueError(f"max_size must be an int in 0..{bs.n - 1}, not {max_size!r}")
+    _check_index("max_size", max_size, 0, bs.n - 1)
     found = [sorted(v for v, _ in limits if v) for _, limits in _nested_sets(bs, max_size)]
     found.sort(key=lambda s: (len(s), s))
     return [frozenset(s) for s in found]
@@ -352,12 +358,9 @@ def d_value(bs: BuildingSet, subset, w: int) -> int:
     The empty intersection is the ambient space.  Every element of the
     subset must strictly contain `w`.
     """
-    if not isinstance(w, int) or not 0 <= w < bs.size:
-        raise ValueError(f"element {w!r} is not in the building set")
-    elems = sorted(set(subset))
+    _check_index("element", w, 0, bs.size - 1)
+    elems = _check_elements(bs, subset)
     for v in elems:
-        if not isinstance(v, int) or not 0 <= v < bs.size:
-            raise ValueError(f"element {v!r} is not in the building set")
         if not bs.lt(w, v):
             raise ValueError(f"element {w} is not strictly below element {v}")
     dim_int = bs.intersection_dim(elems)

@@ -36,16 +36,17 @@ so `chern` builds its quotient classes in integers and wraps each in an
 element only at the end.  The powers of a linear form (for the power
 sums of the Chern roots and the twists' exponentials) come from one
 sparse kernel on integer maps, `IdealPresentation._powers`, which sums
-the form from the variables' degree-one images and never touches the
-whole rank; `_exp_linear` sums them into the exponential's numerators
-over t!, which the spectrum's cells read and `exp_linear` wraps.  The
-top-degree quotient has rank one, spanned by c_0^(n-1), which is (-1)^(n-1) times
-the class of a point, so the product of two basis monomials of
-complementary degree is zero or one multiple of it.  An element a pairs
-with b through its covector u, an integer row over the whole basis whose
-entry b is the point-class value of a times basis[b], summed from the
-tails of the rows (`IdealPresentation.covector`); the pairing is the dot
-product u . b over the two denominators.
+the form from the variables' degree-one images, each stored on first
+read, and never touches the whole rank; `_exp_linear` sums them into
+the exponential's numerators over t!, the one route to a twist's
+exponential, which the spectrum's cells read.  The top-degree quotient
+has rank one, spanned by c_0^(n-1), which is (-1)^(n-1) times the class
+of a point, so the product of two basis monomials of complementary
+degree is zero or one multiple of it.  An element a pairs with b
+through its covector u, an integer row over the whole basis whose entry
+b is the point-class value of a times basis[b], summed from the tails of
+the rows (`IdealPresentation.covector`); the pairing is the dot product
+u . b over the two denominators.
 """
 
 from __future__ import annotations
@@ -275,10 +276,10 @@ class IdealPresentation:
     from one pass (`nested._nested_sets`) that stops at the building
     set's `first_hyperplane`, into `_limits`, keyed by the support's
     bitmask; every nestedness test reads it.  A variable's degree-one
-    normal form (`_images`) is computed at construction for the other
-    elements, and for a hyperplane only on first read (`_image`), as
-    minus the sum of the images below it: no root and no twist names a
-    hyperplane variable, so the spectrum path computes none.
+    normal form (`_images`) is stored by `_sparse` on first read, from
+    `_form`, which sends a hyperplane variable through the relation above
+    (`_substitute`): no root and no twist names a hyperplane variable, so
+    the spectrum path computes none.
 
     `basis` lists the standard monomials by degree, lexicographically
     largest first within a degree, and `quotient_ranks[j]` counts those of
@@ -332,12 +333,8 @@ class IdealPresentation:
         # i -> {partner j: structure constants of basis[i] * basis[j]}, filled by `_row`
         self._table: list[dict[int, tuple[tuple[int, int], ...]] | None]
         self._table = [None] * len(self._standard)
-        # variable -> its normal form, (index, integer) pairs; a hyperplane's
-        # is added by `_image` on first read
+        # variable -> its normal form, (index, integer) pairs, stored by `_sparse` on first read
         self._images: dict[int, tuple[tuple[int, int], ...]] = {}
-        for v in range(building.first_hyperplane):
-            unit = ((v, 1),)
-            self._images[v] = _integral(self._form(unit, _mask((v,))), unit)
 
     @cached_property
     def basis(self) -> list[Monomial]:
@@ -487,9 +484,10 @@ class IdealPresentation:
         """Normal form of a monomial whose last variable x_v is a hyperplane's,
         by x_v = -(sum of x_u over u below v) and each term's normal form.
 
-        Only the reference route (`element`) reaches such a monomial.  No
-        further nestedness test is needed: the relation holds in the ring,
-        so a monomial with non-nested support still comes out zero.
+        Only the reference route (`element`) and a hyperplane variable's
+        image (`_sparse`) reach such a monomial.  No further nestedness
+        test is needed: the relation holds in the ring, so a monomial with
+        non-nested support still comes out zero.
         """
         *rest, (v, e) = mono
         if e > 1:
@@ -560,30 +558,22 @@ class IdealPresentation:
         return QuotientElement(self, num)
 
     def _sparse(self, coeffs) -> dict[int, int]:
-        """The numerators of `linear(coeffs)` as a sparse {basis index: integer}."""
+        """The numerators of `linear(coeffs)` as a sparse {basis index: integer}.
+
+        A variable's image, the normal form of x_v, is stored in `_images`
+        on first read; KeyError if v is not a variable."""
         form: dict[int, int] = {}
         images = self._images
         for v, a in coeffs.items():
             image = images.get(v)
-            for i, c in self._image(v) if image is None else image:
+            if image is None:
+                if v not in range(self.building.size):
+                    raise KeyError(v)
+                unit = ((v, 1),)
+                image = images[v] = _integral(self._form(unit, _mask((v,))), unit)
+            for i, c in image:
                 form[i] = form.get(i, 0) + a * c
         return {i: c for i, c in form.items() if c}
-
-    def _image(self, v: int) -> tuple[tuple[int, int], ...]:
-        """The normal form of a hyperplane variable, stored on first read:
-        x_v = -(sum of x_u over the u below v).  KeyError if v is not a variable."""
-        if v not in range(self.building.first_hyperplane, self.building.size):
-            raise KeyError(v)
-        image: dict[int, int] = {}
-        for u in sorted(self.building.below[v]):
-            for i, c in self._images[u]:
-                image[i] = image.get(i, 0) - c
-        got = self._images[v] = tuple((i, c) for i, c in image.items() if c)
-        return got
-
-    def exp_linear(self, coeffs) -> "QuotientElement":
-        """`linear(coeffs).exp()`, from the numerators of `_exp_linear`."""
-        return QuotientElement(self, self._exp_linear(coeffs), self._exp_scales[0])
 
     def _exp_linear(self, coeffs) -> list[int]:
         """The numerators of `linear(coeffs).exp()` over t!, t = n - 1: the

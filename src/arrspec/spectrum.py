@@ -32,12 +32,13 @@ twist class: the shifts at element 0 and at the elements of codimension
 multiplicity.  The exponential of the divisor sum of shifts is taken
 once per class as integer numerators over t!, t = n - 1, from the
 powers of that linear form in the ring's sparse kernel
-(`IdealPresentation._exp_linear`, which `exp_linear` and so `twist`
-wrap).  Each cell is one integer dot product of u with those numerators
-over the two denominators, checked for exact division, without forming
-the product of the two classes.  `spectrum_from_setup` takes it once per
-class and p, not once per k, and keeps the class rows only for the
-call; `multiplicity` caches each class's numerators on the setup.
+(`IdealPresentation._exp_linear`), by `SpectrumSetup._twist`, which
+caches each class's numerators on the setup for `multiplicity` and
+`spectrum_from_setup` alike.  Each cell is one integer dot product of u
+with those numerators over the two denominators, checked for exact
+division, without forming the product of the two classes.
+`spectrum_from_setup` takes it once per class and p, not once per k,
+and keeps the class rows of cells only for the call.
 """
 
 from __future__ import annotations
@@ -56,7 +57,13 @@ from .arrangement import (
     essentialization,
 )
 from .chern import CharClasses, char_classes
-from .nested import BuildingSet, building_from_closures, maximal_building, minimal_building
+from .nested import (
+    BuildingSet,
+    _check_index,
+    building_from_closures,
+    maximal_building,
+    minimal_building,
+)
 from .ring import GradedPoly, IdealPresentation, QuotientElement, ideal_generators
 
 
@@ -66,12 +73,6 @@ class EigenData:
 
     k: int
     residues: tuple[Fraction, ...]
-
-
-def _check_index(what: str, value, lo: int, hi: int) -> None:
-    """ValueError unless `value` is an int, not a bool, in lo..hi."""
-    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
-        raise ValueError(f"{what} {value!r} must be an integer in {lo}..{hi}")
 
 
 def beta(arrangement: Arrangement, k: int) -> EigenData:
@@ -167,10 +168,10 @@ class SpectrumSetup:
         return got
 
     @cached_property
-    def _twisted(self) -> tuple[tuple[int, ...], tuple[tuple[int, int, tuple[int, ...]], ...]]:
-        """The distinct multiplicities of the hyperplanes, ascending, and
-        (element, base, counts) for element 0 and the elements of
-        codimension >= 2, those before `first_hyperplane`: base is the
+    def _twisted(self) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]:
+        """The distinct multiplicities of the hyperplanes, ascending, and one
+        row (base, counts) for each element before `first_hyperplane`, in
+        order: element 0 and the elements of codimension >= 2.  base is the
         codimension minus one, plus one for element 0, and counts[i] is how
         many of the element's hyperplanes have the i-th multiplicity.
 
@@ -180,10 +181,10 @@ class SpectrumSetup:
         """
         bs, mults = self.building, [h.mult for h in self.arrangement.hyperplanes]
         distinct = tuple(sorted(set(mults)))
-        rows = [(0, bs.n, tuple(map(mults.count, distinct)))]
+        rows = [(bs.n, tuple(map(mults.count, distinct)))]
         for v in range(1, bs.first_hyperplane):
             own = [mults[i] for i in bs.closures[v]]
-            rows.append((v, bs.codims[v] - 1, tuple(map(own.count, distinct))))
+            rows.append((bs.codims[v] - 1, tuple(map(own.count, distinct))))
         return distinct, tuple(rows)
 
     def _shifts(self, k: int) -> tuple[int, ...]:
@@ -198,7 +199,7 @@ class SpectrumSetup:
         d = self.degree
         mults, rows = self._twisted
         r = [-k * m % d for m in mults]
-        return tuple([base - sum(map(mul, counts, r)) // d for _, base, counts in rows])
+        return tuple([base - sum(map(mul, counts, r)) // d for base, counts in rows])
 
     def twist_key(self, k: int) -> tuple[int, ...]:
         """`a_coeff` of every element for the k-th eigenvalue, in integers:
@@ -210,25 +211,13 @@ class SpectrumSetup:
         # `_twisted`'s rows are the elements 0 .. first_hyperplane - 1, in order
         return shifts + (0,) * (self.building.size - len(shifts))
 
-    def twist(self, k: int) -> QuotientElement:
-        """`twist_exp` of the k-th eigenvalue in the quotient.
-
-        Raises ValueError unless k is an int in 1..degree.
-        """
-        _check_index("eigenvalue index", k, 1, self.degree)
-        return self.ideal.exp_linear(self._coeffs(self._shifts(k)))
-
-    @staticmethod
-    def _coeffs(shifts: tuple[int, ...]) -> dict[int, int]:
-        """The divisor of a twist class, {element: coefficient}, as in
-        `twist_key`; the hyperplane elements' zero coefficients are left out."""
-        return dict(enumerate(shifts))
-
-    def _class_twist(self, shifts: tuple[int, ...]) -> list[int]:
-        """The numerators over t! of the class's exponential, cached by class."""
+    def _twist(self, shifts: tuple[int, ...]) -> list[int]:
+        """`twist_exp` of a twist class in the quotient, as its numerators
+        over t!, cached by class.  The divisor is {element: shift} as in
+        `twist_key`, the hyperplane elements' zero shifts left out."""
         got = self._twists.get(shifts)
         if got is None:
-            got = self._twists[shifts] = self.ideal._exp_linear(self._coeffs(shifts))
+            got = self._twists[shifts] = self.ideal._exp_linear(dict(enumerate(shifts)))
         return got
 
 
@@ -276,7 +265,7 @@ def multiplicity(setup: SpectrumSetup, k: int, p: int) -> int:
         raise ValueError("the exponent n is excluded from the spectrum")
     if p < setup.lift:
         return 0
-    return _cell(_factor(setup, p), setup._class_twist(setup._shifts(k)), k)
+    return _cell(_factor(setup, p), setup._twist(setup._shifts(k)), k)
 
 
 def _factor(setup: SpectrumSetup, p: int) -> tuple[int, list[int], int, int]:
@@ -339,7 +328,7 @@ def spectrum_from_setup(setup: SpectrumSetup) -> SpectrumResult:
         shifts = setup._shifts(k)
         row = rows.get(shifts)
         if row is None:
-            twist = setup.ideal._exp_linear(setup._coeffs(shifts))
+            twist = setup._twist(shifts)
             row = rows[shifts] = [_cell(f, twist, k) for f in factors[: len(factors) - (k == d)]]
         cells.append(row)
     # by ascending exponent k/d + p

@@ -105,6 +105,25 @@ def test_is_nested_rejects_unknown_elements():
         is_nested(bs, (1, 99))
 
 
+def test_element_indices_are_ints_not_bools():
+    # as in `enumerate_nested` and `multiplicity`, a bool is not taken as
+    # element 0 or 1, in a subset or as the lower element
+    bs = maximal_building(THREE_LINES)
+    assert is_nested(bs, [1]) and d_value(bs, (), 1) == 1 and d_value(bs, (1,), 0) == 1
+    for bad in (True, False, 1.0, "1", -1, bs.size):
+        with pytest.raises(ValueError):
+            is_nested(bs, [bad])
+        with pytest.raises(ValueError):
+            d_value(bs, (), bad)
+        with pytest.raises(ValueError):
+            d_value(bs, (bad,), 0)
+        # checked before the subset is sorted, so a non-int is not a TypeError
+        with pytest.raises(ValueError):
+            is_nested(bs, [1, bad])
+        with pytest.raises(ValueError):
+            d_value(bs, (1, bad), 0)
+
+
 def test_nested_equals_chains_for_maximal():
     # brute force over all small subsets
     for lat in (THREE_LINES, QUARTIC):

@@ -253,7 +253,10 @@ def test_structure_constants_are_integral_commutative_and_associative(setups):
 def test_elements_are_kept_in_lowest_terms(setups):
     for name, setup in setups.items():
         cl = setup.quotient
-        for x in (cl.todd, *cl.dual_ch, setup.ch_todd(0), setup.twist(1)):
+        twist = ring.QuotientElement(
+            setup.ideal, setup._twist(setup._shifts(1)), factorial(setup.ideal.trunc)
+        )
+        for x in (cl.todd, *cl.dual_ch, setup.ch_todd(0), twist):
             assert x.den > 0 and gcd(x.den, *x.num) == 1, name
             assert x * Fraction(2, 3) * Fraction(3, 2) == x, name
             assert (x + x) * Fraction(1, 2) == x, name
@@ -561,9 +564,11 @@ def test_sparse_kernel_routes_equal_the_dense_products(setups):
             dense = chern._power_sums(roots(bs, ideal.linear), ideal.trunc, zero)
             [sums] = ideal.power_sums([((m,), coeffs) for m, coeffs in roots(bs, dict)])
             assert sums == dense
+        top = factorial(ideal.trunc)
         for k in range(1, setup.degree + 1):
             x = ideal.linear(dict(enumerate(setup.twist_key(k))))
-            assert setup.twist(k) == fraction_exp(x) == x.exp(), k
+            twist = ring.QuotientElement(ideal, setup._twist(setup._shifts(k)), top)
+            assert twist == fraction_exp(x) == x.exp(), k
 
 
 def assert_merged_power_sums(bs):
@@ -698,8 +703,9 @@ def test_hyperplane_relation_route_on_random_building_sets(data):
 
 
 def test_hyperplane_images_are_computed_on_first_read():
-    # no root and no twist names a hyperplane variable, so the spectrum
-    # leaves their images unbuilt; `linear` builds one when asked
+    # every variable's image is its normal form, stored on first read; no
+    # root and no twist names a hyperplane variable, so the spectrum leaves
+    # their images unbuilt, and `linear` builds one when asked
     names = ["lines:9", "example-b1", "generic3d:5"]
     cases = [(resolve_fixture(name), building) for name in names for building in (None, "maximal")]
     for arr, building in cases + [braid(4)]:
@@ -708,6 +714,11 @@ def test_hyperplane_images_are_computed_on_first_read():
         ideal, bs = setup.ideal, setup.building
         first = bs.first_hyperplane
         assert first < bs.size and not any(v >= first for v in ideal._images), (arr, building)
+        fresh = ideal_generators(bs)
+        assert not fresh._images, (arr, building)
+        for v in range(bs.size):
+            x = GradedPoly.variable(v, bs.size, fresh.trunc)
+            assert fresh.linear({v: 1}) == fresh.element(x), (arr, building, v)
         for v in range(first, bs.size):
             below = [ideal.linear({u: 1}) for u in sorted(bs.below[v])]
             assert ideal.linear({v: 1}) == -sum(below, ideal.constant(0)), (arr, v)
@@ -744,7 +755,10 @@ def riemann_roch_setups(setups):
     cases = list(setups.items()) + [("lines:6", prepare(resolve_fixture("lines:6")))]
     for n in (3, 4):
         arr, closures = braid(n)
-        cases += [(f"braid A{n}", prepare(arr)), (f"braid A{n} minimal", prepare(arr, closures))]
+        cases += [
+            (f"braid A{n} maximal", prepare(arr, "maximal")),
+            (f"braid A{n} minimal", prepare(arr, closures)),
+        ]
     moment = Arrangement.from_normals(4, [(1, t, t * t, t**3) for t in range(7)])
     return cases + [("moment curve 7 in C^4", prepare(moment))]
 
@@ -783,10 +797,7 @@ def test_integer_classes_equal_element_arithmetic(setups):
     # cases run up to braid A5 in C^5
     golden = Path(__file__).resolve().parent / "golden" / "cli"
     arr, closures = braid(5)
-    cases = riemann_roch_setups(setups) + [
-        ("braid A4 maximal", prepare(braid(4)[0], "maximal")),
-        ("braid A5 minimal", prepare(arr, closures)),
-    ]
+    cases = riemann_roch_setups(setups) + [("braid A5 minimal", prepare(arr, closures))]
     for stem in ("weighted-c4", "braid-a3-c4"):
         cases.append((stem, prepare(load_input(str(golden / f"{stem}.json")).arrangement)))
     assert max(setup.building.n for _, setup in cases) == 5
