@@ -47,6 +47,8 @@ Vector = tuple[Fraction, ...]
 
 
 def as_fraction(x) -> Fraction:
+    if type(x) is int:
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -66,8 +68,10 @@ def _direction(normal: Vector) -> tuple[int, ...]:
 
     Two nonzero normals are proportional iff their directions are equal.
     """
-    scale = lcm(*(c.denominator for c in normal))
-    ints = [c.numerator * (scale // c.denominator) for c in normal]
+    ints = [c.numerator for c in normal]
+    if any(c.denominator != 1 for c in normal):
+        scale = lcm(*(c.denominator for c in normal))
+        ints = [c.numerator * (scale // c.denominator) for c in normal]
     g = gcd(*ints)
     if next(c for c in ints if c) < 0:
         g = -g
@@ -97,7 +101,12 @@ class Flat:
 
 
 class Arrangement:
-    """A central arrangement with multiplicities in C^n, n >= 2."""
+    """A central arrangement with multiplicities in C^n, n >= 2.
+
+    Each coordinate is converted to a `Fraction` once: a `Hyperplane` whose
+    normal is already a tuple of Fractions is kept as given, and any other
+    is replaced by one new `Hyperplane`.
+    """
 
     __slots__ = ("n", "hyperplanes", "degree", "_directions")
 
@@ -112,14 +121,19 @@ class Arrangement:
                 raise ValidationError(
                     f"hyperplanes[{idx}]: normal has {len(h.normal)} coordinates, expected {n}"
                 )
-            normal = tuple(as_fraction(c) for c in h.normal)
+            normal = h.normal
+            if type(normal) is not tuple or not all(type(c) is Fraction for c in normal):
+                normal = tuple(as_fraction(c) for c in normal)
             if not any(normal):
                 raise ValidationError(f"hyperplanes[{idx}]: normal vector is zero")
             if type(h.mult) is not int or h.mult < 1:
                 raise ValidationError(
                     f"hyperplanes[{idx}]: multiplicity must be a positive integer, got {h.mult!r}"
                 )
-            hps.append(Hyperplane(normal, h.mult))
+            # a plain Hyperplane whose normal is a tuple of Fractions is kept
+            if normal is not h.normal or type(h) is not Hyperplane:
+                h = Hyperplane(normal, h.mult)
+            hps.append(h)
         if not hps:
             raise ValidationError("an arrangement needs at least one hyperplane")
         # the smallest i with a later proportional normal, then its first such j
@@ -201,11 +215,23 @@ class IntersectionLattice:
 
     @cached_property
     def mobius(self) -> tuple[int, ...]:
-        # mu(V) = -(sum of mu over the flats strictly containing V), all of
-        # which have smaller codimension and so come earlier
-        mobius = [1]
-        for m in self.masks[1:]:
-            mobius.append(-sum(mu for mu, u in zip(mobius, self.masks) if not u & ~m))
+        """mu(V) = -(sum of mu over the flats strictly containing V).
+
+        The ambient space has 1 and a hyperplane -1.  For codim V >= 2 the
+        ambient space and the |closure(V)| hyperplanes through V add up to
+        1 - |closure(V)|, so only the flats U with 2 <= codim U < codim V
+        are summed: those with closure U inside closure V.
+        """
+        flats, masks = self.flats, self.masks
+        mobius = [1 if f.codim == 0 else -1 for f in flats if f.codim < 2]
+        first = len(mobius)
+        # (mu, mask) of the flats of codimension 2 .. codim V - 1
+        above: list[tuple[int, int]] = []
+        for i in range(first, len(flats)):
+            if flats[i].codim > flats[i - 1].codim:
+                above = list(zip(mobius[first:i], masks[first:i]))
+            m = masks[i]
+            mobius.append(len(flats[i].closure) - 1 - sum(mu for mu, u in above if not u & ~m))
         return tuple(mobius)
 
     def flat_index(self, closure) -> int | None:

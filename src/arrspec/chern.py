@@ -300,15 +300,28 @@ def ch_dual_exterior_roots(bs: BuildingSet, p: int, log_chern: Element) -> Eleme
     graded parts of `log_chern` for the elementary symmetric functions.
     Kept as an independent check of `char_classes`; the result lives in
     the ring of `log_chern`, free or quotient, and equals the class there.
+    Each distinct monomial in the graded parts is formed once per call, by
+    one product from the monomial with one factor fewer; a single factor
+    is the graded part itself.
     """
     h_parts = log_chern.graded_parts()
-    out = h_zero = log_chern * 0
+    zero = log_chern * 0
+    monomials: dict[tuple[int, ...], Element] = {}
+
+    def monomial(exps: tuple[int, ...]) -> Element:
+        got = monomials.get(exps)
+        if got is None:
+            j = max(i for i, e in enumerate(exps) if e)
+            lower = (*exps[:j], exps[j] - 1, *exps[j + 1 :])
+            got = h_parts[j + 1]
+            if any(lower):
+                got = monomial(lower) * got
+            monomials[exps] = got
+        return got
+
+    out = zero
     for coeff, exps in _elementary_expansion(bs.n - 1, p):
-        term = h_zero + coeff
-        for j, e in enumerate(exps, start=1):
-            for _ in range(e):
-                term = term * h_parts[j]
-        out = out + term
+        out = out + (monomial(exps) * coeff if any(exps) else zero + coeff)
     return out
 
 

@@ -37,8 +37,11 @@ caches each class's numerators on the setup for `multiplicity` and
 `spectrum_from_setup` alike.  Each cell is one integer dot product of u
 with those numerators over the two denominators, checked for exact
 division, without forming the product of the two classes.
-`spectrum_from_setup` takes it once per class and p, not once per k,
-and keeps the class rows of cells only for the call.
+`spectrum_from_setup` computes every k's class in one integer pass
+(`SpectrumSetup._shifts`, column by column), takes the classes in the
+order k first meets them, pairs each once per p, and keeps the class
+rows of cells only for the call; each p's points are then built in one
+comprehension over k.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, floor
-from operator import mul
+from operator import add, mul
 
 from .arrangement import (
     Arrangement,
@@ -187,27 +190,37 @@ class SpectrumSetup:
             rows.append((bs.codims[v] - 1, tuple(map(own.count, distinct))))
         return distinct, tuple(rows)
 
-    def _shifts(self, k: int) -> tuple[int, ...]:
-        """The twist class of the k-th eigenvalue: `a_coeff` of element 0 and
-        of each element of codimension >= 2, in the order of `_twisted`'s
-        rows, in integers; no range check.
+    def _shifts(self, ks) -> list[tuple[int, ...]]:
+        """The twist class of each eigenvalue index in `ks`, a sequence:
+        `a_coeff` of element 0 and of each element of codimension >= 2, in
+        the order of `_twisted`'s rows, in integers; no range check.
 
         With r_i = (-k * m_i) mod d, floor(s_v) is (sum of r_i over v) // d,
         summed as count * r over the distinct multiplicities, not over the
-        hyperplanes.
+        hyperplanes.  The classes are built a column at a time: one residue
+        column per multiplicity, one shift column per row, then zipped.
         """
         d = self.degree
         mults, rows = self._twisted
-        r = [-k * m % d for m in mults]
-        return tuple([base - sum(map(mul, counts, r)) // d for base, counts in rows])
+        residues = [[-k * m % d for k in ks] for m in mults]
+        columns = []
+        for base, counts in rows:
+            # every row counts some hyperplane, so `sums` is set
+            sums = None
+            for c, column in zip(counts, residues):
+                if c:
+                    part = [c * r for r in column]
+                    sums = part if sums is None else list(map(add, sums, part))
+            columns.append([base - s // d for s in sums])
+        return list(zip(*columns))
 
     def twist_key(self, k: int) -> tuple[int, ...]:
         """`a_coeff` of every element for the k-th eigenvalue, in integers:
-        the class `_shifts(k)` spread over the elements, with zero at every
+        the class `_shifts([k])` spread over the elements, with zero at every
         hyperplane element.  Raises ValueError unless k is an int in 1..degree.
         """
         _check_index("eigenvalue index", k, 1, self.degree)
-        shifts = self._shifts(k)
+        [shifts] = self._shifts([k])
         # `_twisted`'s rows are the elements 0 .. first_hyperplane - 1, in order
         return shifts + (0,) * (self.building.size - len(shifts))
 
@@ -265,7 +278,8 @@ def multiplicity(setup: SpectrumSetup, k: int, p: int) -> int:
         raise ValueError("the exponent n is excluded from the spectrum")
     if p < setup.lift:
         return 0
-    return _cell(_factor(setup, p), setup._twist(setup._shifts(k)), k)
+    [shifts] = setup._shifts([k])
+    return _cell(_factor(setup, p), setup._twist(shifts), k)
 
 
 def _factor(setup: SpectrumSetup, p: int) -> tuple[int, list[int], int, int]:
@@ -319,24 +333,24 @@ def spectrum_from_setup(setup: SpectrumSetup) -> SpectrumResult:
     n, d = setup.n, setup.degree
     # every cell with p < lift is zero
     factors = [_factor(setup, p) for p in range(setup.lift, n)]
-    # twist class -> its row of cells, one per factor; cells[k - 1] is k's
-    # row.  The exponent n (k = d, p = n - 1) is excluded, and k = d comes
+    keys = setup._shifts(range(1, d + 1))
+    # twist class -> its row of cells, one per factor, paired at its first
+    # k.  The exponent n (k = d, p = n - 1) is excluded, and k = d comes
     # last, so its class's row stops short of it unless an earlier k shares it
     rows: dict[tuple[int, ...], list[int]] = {}
-    cells = []
-    for k in range(1, d + 1):
-        shifts = setup._shifts(k)
-        row = rows.get(shifts)
-        if row is None:
-            twist = setup._twist(shifts)
-            row = rows[shifts] = [_cell(f, twist, k) for f in factors[: len(factors) - (k == d)]]
-        cells.append(row)
+    for k, key in enumerate(keys, start=1):
+        if key not in rows:
+            twist = setup._twist(key)
+            rows[key] = [_cell(f, twist, k) for f in factors[: len(factors) - (k == d)]]
+    cells = [rows[key] for key in keys]
     # by ascending exponent k/d + p
-    points = []
+    points: list[SpectralPoint] = []
     for i, p in enumerate(range(setup.lift, n)):
-        for k, row in enumerate(cells[: d - (p == n - 1)], start=1):
-            if m := row[i]:
-                points.append(SpectralPoint(Fraction(k + p * d, d), m, k, p))
+        points += [
+            SpectralPoint(Fraction(k + p * d, d), m, k, p)
+            for k, row in enumerate(cells[: d - (p == n - 1)], start=1)
+            if (m := row[i])
+        ]
     return SpectrumResult(d, tuple(points))
 
 

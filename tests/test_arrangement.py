@@ -15,7 +15,8 @@ from arrspec import (
     build_lattice,
     euler_projective_complement,
 )
-from arrspec.fixtures import resolve_fixture
+from arrspec.arrangement import _direction, as_fraction
+from arrspec.fixtures import fixture_names, resolve_fixture
 from arrspec.linalg import EchelonBasis
 from test_quotient import braid
 
@@ -58,6 +59,45 @@ def test_rejects_boolean_multiplicity():
     # bool is an int subclass; True must not pass as multiplicity 1
     with pytest.raises(ValidationError, match="multiplicity"):
         Arrangement(2, [Hyperplane((Fraction(1), Fraction(0)), True)])
+
+
+def test_one_hyperplane_per_hyperplane():
+    # a Hyperplane whose normal is a tuple of Fractions is kept as given;
+    # any other normal is converted once, into a new Hyperplane
+    kept = Hyperplane((Fraction(1), Fraction(-1, 2)), 2)
+    ints = Hyperplane((0, 3))
+    listed = Hyperplane([Fraction(1), Fraction(1)])
+    arr = Arrangement(2, [kept, ints, listed])
+    assert arr.hyperplanes[0] is kept
+    assert arr.hyperplanes[1] == Hyperplane((Fraction(0), Fraction(3)))
+    assert arr.hyperplanes[2] == Hyperplane((Fraction(1), Fraction(1)))
+    for h in arr.hyperplanes:
+        assert type(h.normal) is tuple and all(type(c) is Fraction for c in h.normal)
+    assert arr._directions == ((2, -1), (0, 1), (1, 1))
+    assert Arrangement.from_normals(2, [(1, "-1/2"), (0, 3)], [2, 1]).hyperplanes == arr.hyperplanes[:2]
+    # a subclass is copied into a plain Hyperplane, so equal arrangements stay equal
+    marked = type("Marked", (Hyperplane,), {})(kept.normal, 2)
+    assert type(Arrangement(2, [marked]).hyperplanes[0]) is Hyperplane
+    assert Arrangement(2, [marked]) == Arrangement(2, [kept])
+    # an int subclass other than bool still converts; bool never does
+    assert as_fraction(type("Count", (int,), {})(3)) == 3
+    with pytest.raises(ValidationError, match="expected a rational number, got True"):
+        Arrangement.from_normals(2, [(1, True)])
+    with pytest.raises(ValidationError, match="expected a rational number, got True"):
+        Arrangement(2, [Hyperplane((1, True))])
+
+
+@pytest.mark.parametrize(
+    "normal, direction",
+    [
+        ((3, -6, 0), (1, -2, 0)),
+        ((0, -4, 2), (0, 2, -1)),
+        ((Fraction(1, 2), Fraction(-1, 3), 1), (3, -2, 6)),
+        ((Fraction(-2, 3), Fraction(4, 9), 0), (3, -2, 0)),
+    ],
+)
+def test_direction_is_primitive_with_positive_lead(normal, direction):
+    assert _direction(tuple(map(Fraction, normal))) == direction
 
 
 def test_proportional_normals_ask_for_merge():
@@ -351,6 +391,34 @@ def signed_pairs(n):
         for i, j in combinations(range(n), 2)
         for s in (-1, 1)
     ]
+
+
+def defining_mobius(lattice):
+    """mu(V) = -(sum of mu over every flat strictly containing V), over all pairs."""
+    mobius = [1]
+    for m in lattice.masks[1:]:
+        mobius.append(-sum(mu for mu, u in zip(mobius, lattice.masks) if not u & ~m))
+    return tuple(mobius)
+
+
+def test_mobius_equals_the_defining_sum_on_named_arrangements():
+    named = [resolve_fixture(name) for name in fixture_names() if "<" not in name]
+    named += [braid(n)[0] for n in (3, 4, 5, 6)]
+    named += [Arrangement.from_normals(4, signed_pairs(4) + unit_vectors(4))]
+    named += [Arrangement.from_normals(4, signed_pairs(4))]
+    for arr in named:
+        lattice = build_lattice(arr)
+        assert lattice.mobius == defining_mobius(lattice), arr
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_mobius_equals_the_defining_sum(data):
+    n = data.draw(st.integers(2, 5))
+    pool = [v for v in product((-1, 0, 1), repeat=n) if any(v) and next(c for c in v if c) == 1]
+    normals = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7, unique=True))
+    lattice = build_lattice(Arrangement.from_normals(n, normals))
+    assert lattice.mobius == defining_mobius(lattice)
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,8 @@ from arrspec import (
     q_series,
     reduce_top,
 )
-from arrspec.chern import series_log, tangent_roots
+from arrspec.chern import _elementary_expansion, series_log, tangent_roots
+from arrspec.ring import QuotientElement
 from test_quotient import braid
 
 
@@ -184,6 +185,62 @@ def test_chern_character_cross_route():
         q = setup.quotient
         for p in range(setup.n):
             assert ch_dual_exterior_roots(setup.building, p, q.log_chern) == q.dual_ch[p]
+
+
+def term_by_term_roots_route(bs, p, log_chern):
+    """`ch_dual_exterior_roots` with every term multiplied out from a constant."""
+    h_parts = log_chern.graded_parts()
+    out = h_zero = log_chern * 0
+    for coeff, exps in _elementary_expansion(bs.n - 1, p):
+        term = h_zero + coeff
+        for j, e in enumerate(exps, start=1):
+            for _ in range(e):
+                term = term * h_parts[j]
+        out = out + term
+    return out
+
+
+def test_roots_route_equals_the_term_by_term_products(setups):
+    braids = [prepare(braid(n)[0], b) for n in (3, 4, 5) for b in (braid(n)[1], "maximal")]
+    small = [THREE_LINES, QUARTIC, SINGLE, *braids[:2]]
+    # the quotient classes, and the free-ring classes where they are cheap
+    cases = [(s, s.quotient) for s in (*small, *setups.values(), *braids[2:])]
+    cases += [(s, s.classes) for s in small]
+    for setup, classes in cases:
+        for p in range(setup.n):
+            got = ch_dual_exterior_roots(setup.building, p, classes.log_chern)
+            assert got == term_by_term_roots_route(setup.building, p, classes.log_chern)
+            assert got == classes.dual_ch[p], (setup.arrangement, p)
+
+
+def test_roots_route_forms_each_monomial_once(monkeypatch):
+    # one product of two classes per distinct monomial of two or more
+    # factors, and its prefixes, in each call: braid A4, three formal roots
+    setup = prepare(braid(4)[0])
+    bs, log_chern = setup.building, setup.quotient.log_chern
+    products, mul = [], QuotientElement.__mul__
+
+    def counted(x, y):
+        if isinstance(y, QuotientElement):
+            products.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(QuotientElement, "__mul__", counted)
+    for p in range(4):
+        # every monomial with two or more factors, and each one with its last
+        # factor taken off, down to two factors
+        needed = set()
+        for _, exps in _elementary_expansion(3, p):
+            while sum(exps) >= 2:
+                needed.add(exps)
+                j = max(i for i, e in enumerate(exps) if e)
+                exps = (*exps[:j], exps[j] - 1, *exps[j + 1 :])
+        products.clear()
+        ch_dual_exterior_roots(bs, p, log_chern)
+        assert len(products) == len(needed), p
+        products.clear()
+        term_by_term_roots_route(bs, p, log_chern)
+        assert len(products) > len(needed) or not needed, p
 
 
 def test_chern_character_ranks_sum_to_euler_of_exterior_algebra():

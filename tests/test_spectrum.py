@@ -565,11 +565,15 @@ def test_weighted_plane_arrangements_keep_euler_sums(lines, mults):
 
 
 def assert_twist_keys_match_fraction_coefficients(setup):
-    bs = setup.building
-    for k in range(1, setup.degree + 1):
+    # one k at a time through `twist_key`, and every k in one `_shifts` pass
+    bs, d = setup.building, setup.degree
+    batch = setup._shifts(range(1, d + 1))
+    assert len(batch) == d
+    for k, shifts in zip(range(1, d + 1), batch):
         eig = beta(setup.arrangement, k)
         want = tuple(a_coeff(bs, v, eig) for v in range(bs.size))
         assert setup.twist_key(k) == want, (setup.arrangement, k)
+        assert shifts + (0,) * (bs.size - len(shifts)) == want, (setup.arrangement, k)
     for k in (0, setup.degree + 1):
         with pytest.raises(ValueError):
             setup.twist_key(k)
@@ -822,6 +826,50 @@ def test_twist_key_vanishes_on_hyperplane_elements(arr):
         assert key == tuple(a_coeff(bs, v, eig) for v in range(bs.size)), k
 
 
+def assert_spectrum_is_its_cells(arrangement, building=None):
+    """`spectrum_from_setup` lists every nonzero `multiplicity` (k, p), each
+    taken on a fresh setup, by ascending exponent k/d + p, and nothing else."""
+    setup, fresh = prepare(arrangement, building), prepare(arrangement, building)
+    n, d = setup.n, setup.degree
+    result = spectrum_from_setup(setup)
+    assert result.degree == d
+    alphas = [pt.alpha for pt in result.points]
+    assert alphas == sorted(set(alphas)), arrangement
+    cells = {}
+    for pt in result.points:
+        assert pt.alpha == Fraction(pt.k + pt.p * d, d) and pt.mult, (arrangement, pt)
+        cells[pt.k, pt.p] = pt.mult
+    for k in range(1, d + 1):
+        for p in range(n - (k == d)):
+            assert cells.get((k, p), 0) == multiplicity(fresh, k, p), (arrangement, k, p)
+
+
+@pytest.mark.parametrize("lines", [24, 36, 48])
+def test_spectrum_equals_its_cells_on_many_lines(lines):
+    # the lines-c2 benchmark's sizes, reduced and weighted with multiplicities
+    # 1, 2, 3 in turn, so of degree twice the number of lines
+    arr = resolve_fixture(f"lines:{lines}")
+    weighted = Arrangement(
+        2, [Hyperplane(h.normal, 1 + i % 3) for i, h in enumerate(arr.hyperplanes)]
+    )
+    assert weighted.degree == 2 * lines
+    for a in (arr, weighted):
+        assert_spectrum_is_its_cells(a)
+
+
+def test_spectrum_equals_its_cells_on_the_golden_documents():
+    for path in sorted(GOLDEN_CLI.glob("*.json")):
+        doc = load_input(str(path))
+        assert_spectrum_is_its_cells(doc.arrangement, doc.building_closures)
+
+
+@settings(max_examples=25, deadline=None)
+@given(weighted_arrangements())
+def test_spectrum_equals_its_cells(arr):
+    for building in (None, "maximal"):
+        assert_spectrum_is_its_cells(arr, building)
+
+
 def test_every_cell_is_the_covector_dot_the_multiplicity_and_the_fraction_route(setups):
     # the Fraction route: the quotient product of ch * Todd with the
     # Fraction-stepped exponential, read at the point class c_0^(n-1)
@@ -832,7 +880,7 @@ def test_every_cell_is_the_covector_dot_the_multiplicity_and_the_fraction_route(
         cells = {(pt.k, pt.p): pt.mult for pt in spectrum_from_setup(setup).points}
         for k in range(1, d + 1):
             twist = fraction_exp(ideal.linear(dict(enumerate(setup.twist_key(k)))))
-            cached = setup._twist(setup._shifts(k))
+            cached = setup._twist(setup._shifts([k])[0])
             assert twist == QuotientElement(ideal, cached, factorial(ideal.trunc))
             for p in range(n - (k == d)):
                 q = n - 1 - p
